@@ -321,7 +321,7 @@ func (n *Node) IdleFor(p *sim.Proc, d sim.Duration) {
 
 // inState runs the process through a timed segment in state s, then
 // returns the node to Idle (unless something else changed the state
-// during the segment, e.g. a concurrent helper process).
+// during the segment, e.g. a concurrent MPI request).
 //
 // Every work primitive (Compute, MemoryRounds, CopyBytes, ...) funnels
 // through here, so a campaign crosses it once per work segment — the
@@ -331,9 +331,33 @@ func (n *Node) IdleFor(p *sim.Proc, d sim.Duration) {
 //
 //lint:hotpath
 func (n *Node) inState(p *sim.Proc, s State, d sim.Duration) {
+	end, token := n.beginSpan(s, d)
+	p.SleepUntil(end)
+	n.EndSegment(token)
+}
+
+// BeginSegment is the continuation form of Compute and CopyCycles for
+// code that runs as scheduled callbacks rather than as a process: it
+// enters state s for cycles of core-clocked work and returns when the
+// segment ends and the token to close it with. The caller resumes at
+// end (one scheduled event, exactly where Compute's Sleep would wake)
+// and then calls EndSegment(token).
+//
+//lint:hotpath
+//lint:range cycles [0,inf]
+func (n *Node) BeginSegment(s State, cycles float64) (end sim.Time, token uint64) {
+	return n.beginSpan(s, n.coreDuration(cycles))
+}
+
+// beginSpan enters state s for a segment lasting d.
+func (n *Node) beginSpan(s State, d sim.Duration) (end sim.Time, token uint64) {
 	n.SetState(s)
-	token := n.StateToken()
-	p.Sleep(d)
+	return n.eng.Now().Add(d), n.stateSeq
+}
+
+// EndSegment closes a segment opened by BeginSegment: the node returns
+// to Idle unless something else changed its state in between.
+func (n *Node) EndSegment(token uint64) {
 	n.RestoreState(token, Idle)
 }
 

@@ -62,11 +62,11 @@ func (v view) send(pos, tag int, size int64, payload any) {
 }
 
 func (v view) isend(pos, tag int, size int64, payload any) *Request {
-	return v.r.isend(v.p, v.world(pos), tag, size, payload)
+	return v.r.isend(v.world(pos), tag, size, payload)
 }
 
 func (v view) recv(pos, tag int) *Message {
-	return v.r.recvColl(v.p, v.world(pos), tag)
+	return v.r.recv(v.p, v.world(pos), tag)
 }
 
 func (v view) wait(q *Request) { v.r.Wait(v.p, q) }
@@ -74,13 +74,6 @@ func (v view) wait(q *Request) { v.r.Wait(v.p, q) }
 // worldView is the whole-world group for this rank.
 func (r *Rank) worldView(p *sim.Proc) view {
 	return view{r: r, size: len(r.w.ranks), me: r.id, slot: 0, seq: &r.collSeq, p: p}
-}
-
-// recvColl is Recv for the reserved tag space.
-func (r *Rank) recvColl(p *sim.Proc, src, tag int) *Message {
-	r.overhead(p, r.w.cfg.RecvOverheadCycles)
-	m := r.matchOrWait(p, src, tag)
-	return r.completeRecv(p, m)
 }
 
 // checkPos validates a group position.

@@ -181,7 +181,7 @@ func (c *Comm) Recv(p *sim.Proc, src, tag int) *Message {
 	if src != AnySource {
 		worldSrc = c.WorldRank(src)
 	}
-	m := c.r.recvColl(p, worldSrc, c.ctag(tag))
+	m := c.r.recv(p, worldSrc, c.ctag(tag))
 	// Translate the source back into comm numbering.
 	for pos, wrank := range c.ranks {
 		if wrank == m.Src {
@@ -194,7 +194,7 @@ func (c *Comm) Recv(p *sim.Proc, src, tag int) *Message {
 
 // Isend is Send in the background.
 func (c *Comm) Isend(p *sim.Proc, dst, tag int, size int64, payload any) *Request {
-	return c.r.isend(p, c.WorldRank(dst), c.ctag(tag), size, payload)
+	return c.r.isend(c.WorldRank(dst), c.ctag(tag), size, payload)
 }
 
 // Wait blocks until the request completes.

@@ -300,8 +300,8 @@ type postedRecv struct {
 	cond     *sim.Cond
 }
 
-// eng returns the engine this rank (and all its helper processes and
-// delivery events) runs on: its node's.
+// eng returns the engine this rank (and all its requests and delivery
+// events) runs on: its node's.
 func (r *Rank) eng() *sim.Engine { return r.node.Engine() }
 
 // ID returns the rank number.
@@ -429,40 +429,40 @@ func (r *Rank) transmitControl(m *Message) sim.Time {
 	return deliverAt
 }
 
-// waitOn parks the process on c with the library's spin-then-block
-// behaviour, leaving the node Idle afterwards and returning the value
-// the waker delivered.
-func (r *Rank) waitOn(p *sim.Proc, c *sim.Cond) any {
+// beginWait enters the library's spin-then-block wait: the node spins
+// and, if the wait outlasts SpinThreshold, falls back to a blocking
+// kernel wait (idle in /proc/stat). The waiter sets the node Idle once
+// it is woken.
+func (r *Rank) beginWait() {
 	n := r.node
 	n.SetState(machine.Spin)
 	if thr := r.w.cfg.SpinThreshold; thr >= 0 {
 		token := n.StateToken()
 		r.eng().After(thr, func() {
 			// Still in the same uninterrupted spin: fall back to a
-			// blocking kernel wait (idle in /proc/stat).
+			// blocking kernel wait.
 			n.RestoreState(token, machine.Blocked)
 		})
 	}
+}
+
+// waitOn parks the process on c with the library's spin-then-block
+// behaviour, leaving the node Idle afterwards and returning the value
+// the waker delivered.
+func (r *Rank) waitOn(p *sim.Proc, c *sim.Cond) any {
+	r.beginWait()
 	v := c.Wait(p)
-	n.SetState(machine.Idle)
+	r.node.SetState(machine.Idle)
 	return v
 }
 
-// byteWork charges the per-byte software cost (copies + checksums) for
-// a message of the given size, in the Copy activity state. Messages at
-// or below the eager threshold use the cheaper cache-resident rate.
-func (r *Rank) byteWork(p *sim.Proc, size int64) {
-	if size <= 0 {
-		return
-	}
-	rate := r.w.cfg.PerByteCycles
+// byteCycles is the per-byte software cost (copies + checksums) of a
+// message of the given size, charged in the Copy activity state.
+// Messages at or below the eager threshold use the cheaper
+// cache-resident rate.
+func (r *Rank) byteCycles(size int64) float64 {
 	if size <= r.w.cfg.EagerThreshold {
-		rate = r.w.cfg.PerByteCyclesEager
+		return float64(size) * r.w.cfg.PerByteCyclesEager
 	}
-	r.node.CopyCycles(p, float64(size)*rate)
-}
-
-// overhead charges fixed per-message software cost.
-func (r *Rank) overhead(p *sim.Proc, cycles float64) {
-	r.node.Compute(p, cycles)
+	return float64(size) * r.w.cfg.PerByteCycles
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // ErrDeadlock is returned by Run when the event queue drains while
-// simulated processes are still blocked on conditions, mailboxes, or
-// resources that nothing will ever signal.
+// simulated processes (or callback waiters) are still blocked on
+// conditions, mailboxes, or resources that nothing will ever signal.
 var ErrDeadlock = errors.New("sim: deadlock: no pending events but processes remain blocked")
 
 // Engine owns the virtual clock and the event queue, and schedules
@@ -19,7 +19,7 @@ type Engine struct {
 	seq     uint64
 	queue   eventHeap
 	procs   map[*Proc]struct{} // all live (not yet terminated) processes
-	blocked int                // live processes currently parked on a primitive
+	blocked int                // processes and Cond callback waiters currently parked
 	running bool
 	closed  bool
 	failure error // first process panic, reported by Run
@@ -251,9 +251,9 @@ func (e *Engine) resumeProc(kind eventKind, p *Proc) {
 // Pending reports the number of events waiting in the queue.
 func (e *Engine) Pending() int { return e.queue.Len() }
 
-// Blocked reports how many live processes are parked on a primitive with
-// nothing scheduled to wake them right now. It is meaningful after Run
-// returns.
+// Blocked reports how many waiters — live processes parked on a
+// primitive, and callback waiters queued on a Cond — have nothing
+// scheduled to wake them right now. It is meaningful after Run returns.
 func (e *Engine) Blocked() int { return e.blocked }
 
 // Live reports the number of processes that have been spawned and have

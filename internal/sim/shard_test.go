@@ -81,13 +81,15 @@ func TestShardGroupDeadlock(t *testing.T) {
 
 // TestShardGroupLimit checks limit semantics: events at t <= limit run,
 // later ones stay queued, and the clocks park exactly at the limit.
+// Each shard logs into its own slot: the final window runs both shards
+// concurrently, so a shared log would race.
 func TestShardGroupLimit(t *testing.T) {
 	g := NewGroup(2, Microsecond)
 	defer g.Close()
-	var ran []int
-	g.Engine(0).Schedule(10, func() { ran = append(ran, 10) })
-	g.Engine(1).Schedule(20, func() { ran = append(ran, 20) })
-	g.Engine(0).Schedule(30, func() { ran = append(ran, 30) })
+	var ran [2][]int // per-shard logs
+	g.Engine(0).Schedule(10, func() { ran[0] = append(ran[0], 10) })
+	g.Engine(1).Schedule(20, func() { ran[1] = append(ran[1], 20) })
+	g.Engine(0).Schedule(30, func() { ran[0] = append(ran[0], 30) })
 	end, err := g.Run(20)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +97,7 @@ func TestShardGroupLimit(t *testing.T) {
 	if end != 20 || g.Now() != 20 {
 		t.Fatalf("parked at %v, want 20", end)
 	}
-	if !reflect.DeepEqual(ran, []int{10, 20}) {
+	if !reflect.DeepEqual(ran, [2][]int{{10}, {20}}) {
 		t.Fatalf("ran %v", ran)
 	}
 	if g.Engine(0).Now() != 20 || g.Engine(1).Now() != 20 {
@@ -105,7 +107,7 @@ func TestShardGroupLimit(t *testing.T) {
 	if _, err := g.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ran, []int{10, 20, 30}) {
+	if !reflect.DeepEqual(ran, [2][]int{{10, 30}, {20}}) {
 		t.Fatalf("after resume ran %v", ran)
 	}
 }

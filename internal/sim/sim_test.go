@@ -254,6 +254,45 @@ func TestCondBroadcastAndRemove(t *testing.T) {
 	}
 }
 
+// TestCondCallbackWaiters checks that WaitFunc waiters share the FIFO
+// with processes, get the signalled value, resume at the signal time
+// behind already-queued events exactly like a process wake, and count
+// as blocked until woken — so one never signalled is a deadlock.
+func TestCondCallbackWaiters(t *testing.T) {
+	e := NewEngine()
+	c := NewCond(e)
+	var log []string
+	var w, never Wakeup
+	w.Fn = func() { log = append(log, fmt.Sprintf("cb=%v@%d", w.Val, e.Now())) }
+	never.Fn = func() { t.Error("unsignalled callback ran") }
+	e.Spawn("p", func(p *Proc) {
+		v := c.Wait(p)
+		log = append(log, fmt.Sprintf("p=%v@%d", v, e.Now()))
+	})
+	e.Schedule(0, func() { c.WaitFunc(&w) }) // queued behind p
+	e.Schedule(5, func() {
+		if c.Len() != 2 || e.Blocked() != 2 {
+			t.Errorf("Len = %d, Blocked = %d, want 2, 2", c.Len(), e.Blocked())
+		}
+		c.Signal("a")
+		c.Signal("b")
+		if e.Blocked() != 0 {
+			t.Errorf("Blocked after signals = %d", e.Blocked())
+		}
+		NewCond(e).WaitFunc(&never)
+	})
+	e.Schedule(5, func() { log = append(log, "queued@5") })
+	_, err := e.Run(0)
+	if !errors.Is(err, ErrDeadlock) || e.Blocked() != 1 {
+		t.Fatalf("err = %v, Blocked = %d; want ErrDeadlock with 1 blocked", err, e.Blocked())
+	}
+	want := "queued@5,p=a@5,cb=b@5"
+	if got := strings.Join(log, ","); got != want {
+		t.Fatalf("log %q, want %q", got, want)
+	}
+	e.Close()
+}
+
 func TestMailboxFIFO(t *testing.T) {
 	e := NewEngine()
 	m := NewMailbox(e)
