@@ -84,16 +84,17 @@ benchdiff: bench $(REPOLINT)
 # analyzer: the sim-kernel microbenches, the campaign fan-out, the
 # end-to-end paper figure, and the 256-rank sharded FT (the
 # communication-heavy profile that keeps the mpi request and
-# cross-shard delivery paths hot). ShardedFT runs 4 iterations: one
-# gives only a few hundred samples, so profgate's 1% flat floor sits
-# at two or three samples and its verdict flips between recordings.
+# cross-shard delivery paths hot). ShardedFT runs 4 iterations and
+# Campaign8 runs 3 s: at the defaults each gives only a few hundred
+# samples, so profgate's 1% flat floor sits at two or three samples and
+# its verdict flips between recordings.
 # Committed under profiles/ so hot-root
 # discovery runs on every `make ci`, not only on machines that just
 # benched. Refresh whenever hot paths move: make bench-profile && make profgate
 bench-profile:
 	@mkdir -p $(PROFILES) $(BIN)
 	$(GO) test -run '^$$' -bench . -benchtime $(GATED_BENCHTIME) -cpuprofile $(CURDIR)/$(PROFILES)/sim.pprof -o $(BIN)/sim.test $(GATED_PKG)
-	$(GO) test -run '^$$' -bench 'Campaign8' -cpuprofile $(CURDIR)/$(PROFILES)/campaign.pprof -o $(BIN)/campaign.test ./internal/campaign
+	$(GO) test -run '^$$' -bench 'Campaign8' -benchtime 3s -cpuprofile $(CURDIR)/$(PROFILES)/campaign.pprof -o $(BIN)/campaign.test ./internal/campaign
 	$(GO) test -run '^$$' -bench 'Fig3FTClassB' -cpuprofile $(CURDIR)/$(PROFILES)/figure.pprof -o $(BIN)/figure.test .
 	$(GO) test -run '^$$' -bench 'ShardedFT' -benchtime 4x -cpuprofile $(CURDIR)/$(PROFILES)/sharded.pprof -o $(BIN)/sharded.test .
 	$(GO) test -run '^$$' -bench 'TraceStream' -benchtime $(GATED_BENCHTIME) -cpuprofile $(CURDIR)/$(PROFILES)/trace.pprof -o $(BIN)/trace.test ./internal/trace

@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/netsim"
+	"repro/internal/sim"
 )
 
 // benchRunner returns the standard apparatus scaled for benchmarking:
@@ -661,30 +663,46 @@ func BenchmarkAblationFinePStates(b *testing.B) {
 // wall-clock time, reported as the speedup metric. On a single-core
 // runner the ratio records the windowing overhead instead (slightly
 // below 1); the >= 2x target applies to machines with >= 4 cores.
+// The 1-shard run also reports the engine's deterministic work counts,
+// events/op and heap_peak/op (the event queue's high-water), read from
+// the engine its default switch is built on.
 func BenchmarkShardedFT(b *testing.B) {
 	ft := repro.NewFT('A', 256)
 	ft.IterOverride = 1
 	const shards = 4
-	run := func(shards int) float64 {
+	run := func(shards int) (float64, *repro.Engine) {
 		cfg := repro.DefaultConfig()
 		cfg.Settle = 30 * repro.Second
 		cfg.Reps = 1
 		cfg.UseTrueEnergy = true
 		cfg.Shards = shards
+		var eng *repro.Engine
+		if shards == 1 {
+			cfg.Fabric = func(e *repro.Engine, ports int) repro.Fabric {
+				eng = e
+				return netsim.New(e, ports, cfg.Net)
+			}
+		}
 		r := repro.MustRunner(cfg)
 		start := time.Now()
 		if _, err := r.Run(ft, repro.Static{}, 0); err != nil {
 			b.Fatal(err)
 		}
-		return time.Since(start).Seconds()
+		return time.Since(start).Seconds(), eng
 	}
 	var seq, shr float64
+	var work sim.Counters
 	for i := 0; i < b.N; i++ {
-		seq += run(1)
-		shr += run(shards)
+		wall, eng := run(1)
+		seq += wall
+		work = eng.Counters()
+		wall, _ = run(shards)
+		shr += wall
 	}
 	b.ReportMetric(seq/shr, "speedup")
 	b.ReportMetric(float64(shards), "shards")
+	b.ReportMetric(float64(work.Events), "events/op")
+	b.ReportMetric(float64(work.HeapPeak), "heap_peak/op")
 }
 
 // ExtendedSlackGovernor: the MPI-aware governor against the paper's

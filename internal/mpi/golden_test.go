@@ -76,10 +76,10 @@ func goldenProgram(p *sim.Proc, r *Rank, log *[]string) {
 	logf("done")
 }
 
-// goldenDigest runs goldenProgram on n ranks over the given number of
-// shards and hashes every rank's log, traffic counters, per-state times
-// and per-component energies at the common end time.
-func goldenDigest(t *testing.T, shards, n int, tweak func(*Config)) string {
+// goldenDigest runs prog on n ranks over the given number of shards and
+// hashes every rank's log, traffic counters, per-state times and
+// per-component energies at the common end time.
+func goldenDigest(t *testing.T, shards, n int, tweak func(*Config), prog func(p *sim.Proc, r *Rank, log *[]string)) string {
 	t.Helper()
 	g := sim.NewGroup(shards, netsim.Default100Mb().Latency)
 	defer g.Close()
@@ -95,7 +95,7 @@ func goldenDigest(t *testing.T, shards, n int, tweak func(*Config)) string {
 	logs := make([][]string, n)
 	ends := make([]sim.Time, n)
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
-		goldenProgram(p, r, &logs[r.ID()])
+		prog(p, r, &logs[r.ID()])
 		ends[r.ID()] = p.Now()
 	})
 	if _, err := g.Run(0); err != nil {
@@ -143,7 +143,7 @@ func TestGoldenEventOrder(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tweak := func(c *Config) { c.SpinThreshold = tc.spin }
 			for _, k := range []int{1, 2} {
-				if got := goldenDigest(t, k, 5, tweak); got != tc.want {
+				if got := goldenDigest(t, k, 5, tweak, goldenProgram); got != tc.want {
 					t.Errorf("K=%d: digest %s, want %s", k, got, tc.want)
 				}
 			}

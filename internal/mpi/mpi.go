@@ -33,7 +33,12 @@ type Config struct {
 	// SpinThreshold is how long a wait busy-polls before the library
 	// falls back to blocking in the kernel. MPICH 1.2.5's p4 device
 	// polls aggressively; waits shorter than this look 100% busy to
-	// the OS. Negative means spin forever.
+	// the OS. Negative means spin forever. The threshold runs from the
+	// start of the node's spin: waits that join a spin already under
+	// way (several requests pending at once) keep its deadline. Each
+	// rank arms one re-armable timer for it, so a threshold much longer
+	// than the run's waits costs one queued event per rank, not one per
+	// wait.
 	SpinThreshold sim.Duration
 	// SendOverheadCycles and RecvOverheadCycles are the per-message
 	// software costs (matching, headers, syscalls) on each side.
@@ -87,7 +92,6 @@ type World struct {
 	sw    netsim.Fabric
 	cfg   Config
 	ranks []*Rank
-	nic   []int    // active-transfer refcount per node
 	xseq  []uint64 // per-source-rank arrival sequence (claimed on the source shard)
 	shard []int    // rank -> shard index; nil when group is nil
 
@@ -149,7 +153,6 @@ func newWorld(g *sim.Group, shard []int, nodes []*machine.Node, sw netsim.Fabric
 		group:        g,
 		sw:           sw,
 		cfg:          cfg,
-		nic:          make([]int, len(nodes)),
 		xseq:         make([]uint64, len(nodes)),
 		shard:        shard,
 		nextCommSlot: 1,
@@ -216,18 +219,25 @@ func (w *World) nicOn(node int, from, to sim.Time) {
 	if to <= from {
 		return
 	}
-	n := w.ranks[node].node
-	eng := n.Engine()
-	eng.Schedule(from, func() {
-		w.nic[node]++
-		n.SetNICActive(true)
-	})
-	eng.Schedule(to, func() {
-		w.nic[node]--
-		if w.nic[node] == 0 {
-			n.SetNICActive(false)
-		}
-	})
+	r := w.ranks[node]
+	ev := r.events()
+	eng := r.eng()
+	eng.Schedule(from, ev.nicUp)
+	eng.Schedule(to, ev.nicDown)
+}
+
+// nicStart and nicEnd open and close one transfer window on the rank's
+// NIC.
+func (r *Rank) nicStart() {
+	r.ev.nic++
+	r.node.SetNICActive(true)
+}
+
+func (r *Rank) nicEnd() {
+	r.ev.nic--
+	if r.ev.nic == 0 {
+		r.node.SetNICActive(false)
+	}
 }
 
 // Message is a delivered MPI message.
@@ -292,7 +302,31 @@ type Rank struct {
 
 	collSeq int // per-rank collective sequence (SPMD-aligned)
 
+	ev *rankEvents // built by the first wait or transfer
+
 	stats Stats
+}
+
+// rankEvents holds a rank's reusable engine callbacks, so that waits
+// and transfers schedule without allocating. A rank builds it on first
+// use: ranks that never communicate pay nothing for it.
+type rankEvents struct {
+	// spin falls back from spinning to a blocked wait once the node has
+	// spun SpinThreshold without interruption; spinToken is the node
+	// state token of the spin it is armed for. Built by the first wait.
+	spin      *sim.Timer
+	spinToken uint64
+
+	nic            int    // active transfer windows on the NIC
+	nicUp, nicDown func() // the rank's nicStart and nicEnd
+}
+
+// events returns the rank's callbacks, building them on first use.
+func (r *Rank) events() *rankEvents {
+	if r.ev == nil {
+		r.ev = &rankEvents{nicUp: r.nicStart, nicDown: r.nicEnd}
+	}
+	return r.ev
 }
 
 type postedRecv struct {
@@ -430,20 +464,38 @@ func (r *Rank) transmitControl(m *Message) sim.Time {
 }
 
 // beginWait enters the library's spin-then-block wait: the node spins
-// and, if the wait outlasts SpinThreshold, falls back to a blocking
+// and, if the spin outlasts SpinThreshold, falls back to a blocking
 // kernel wait (idle in /proc/stat). The waiter sets the node Idle once
 // it is woken.
+//
+// A wait that starts a new spin re-arms the rank's timer: the token of
+// the spin it was armed for is dead, since state tokens only grow, so
+// that fallback could never apply. A wait that joins the spin the timer
+// is armed for keeps its earlier deadline; a later one could only find
+// the spin already over. Either way the fallback fires where a
+// per-wait event scheduled now would have (see sim.Timer).
 func (r *Rank) beginWait() {
 	n := r.node
 	n.SetState(machine.Spin)
-	if thr := r.w.cfg.SpinThreshold; thr >= 0 {
-		token := n.StateToken()
-		r.eng().After(thr, func() {
-			// Still in the same uninterrupted spin: fall back to a
-			// blocking kernel wait.
-			n.RestoreState(token, machine.Blocked)
-		})
+	thr := r.w.cfg.SpinThreshold
+	if thr < 0 {
+		return
 	}
+	token := n.StateToken()
+	ev := r.events()
+	if ev.spin == nil {
+		ev.spin = r.eng().NewTimer(r.blockSpin)
+	} else if token == ev.spinToken {
+		return
+	}
+	ev.spinToken = token
+	ev.spin.Reset(r.eng().Now().Add(thr))
+}
+
+// blockSpin falls back to a blocking kernel wait if the node is still
+// in the uninterrupted spin the timer was armed for.
+func (r *Rank) blockSpin() {
+	r.node.RestoreState(r.ev.spinToken, machine.Blocked)
 }
 
 // waitOn parks the process on c with the library's spin-then-block

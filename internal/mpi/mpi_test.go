@@ -459,9 +459,9 @@ func TestCommunicationEnergyAccrues(t *testing.T) {
 		}
 	}
 	// NIC refcounts must be balanced at the end.
-	for i, c := range w.nic {
-		if c != 0 {
-			t.Fatalf("node %d NIC refcount %d", i, c)
+	for i := 0; i < 2; i++ {
+		if ev := w.Rank(i).ev; ev == nil || ev.nic != 0 {
+			t.Fatalf("node %d NIC refcount unbalanced (%+v)", i, ev)
 		}
 	}
 }

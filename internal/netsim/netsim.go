@@ -120,7 +120,6 @@ func (s *Switch) MinLatency() sim.Duration { return s.cfg.Latency }
 // receive link is resolved there, in arrival order.
 //
 //lint:hotpath runs once per simulated message
-//lint:allow profgate (an O(1) link booking per message stays below CPU-profile resolution in every profiled workload; the root keeps the per-message path allocation-free rather than marking CPU cost)
 func (s *Switch) Send(src, dst int, size int64, now sim.Time) (start, arrive sim.Time) {
 	if src == dst {
 		s.selfTransferPanic(src)

@@ -22,12 +22,14 @@ type Engine struct {
 	blocked int                // processes and Cond callback waiters currently parked
 	running bool
 	closed  bool
+	shard   int32 // index in the owning Group; a standalone engine is shard 0 of 1
 	failure error // first process panic, reported by Run
 
-	// shardTag is " (shard N)" when the engine is owned by a Group,
-	// empty for a standalone engine. Preformatted at construction so
-	// the panic helpers stay allocation-free on the hot path.
-	shardTag string
+	// expiring is the sequence number of the timer entry being
+	// dispatched; see Timer.
+	expiring uint64
+	// events counts queue entries dispatched, for Counters.
+	events int
 
 	// park is signalled by a process goroutine whenever it hands control
 	// back to the engine (by blocking, terminating, or dying).
@@ -73,7 +75,7 @@ func (e *Engine) scheduleEvent(ev event) {
 }
 
 func (e *Engine) schedulePastPanic(t Time) {
-	panic(fmt.Sprintf("sim: Schedule at %v before now %v%s", t, e.now, e.shardTag)) //lint:allow panicfree (simulation-kernel invariant; a broken event loop cannot continue)
+	panic(fmt.Sprintf("sim: Schedule at %v before now %v (shard %d)", t, e.now, e.shard)) //lint:allow panicfree (simulation-kernel invariant; a broken event loop cannot continue)
 }
 
 // arrivalPastPanic carries the full lookahead-contract context: which
@@ -81,8 +83,8 @@ func (e *Engine) schedulePastPanic(t Time) {
 // timestamp. Kept out of PostArrival so the hot delivery path stays
 // inlinable.
 func (e *Engine) arrivalPastPanic(t Time, srcPort int, srcSeq uint64) {
-	panic(fmt.Sprintf("sim: cross-shard arrival at %v before now %v%s (src shard %d, seq %d): the lookahead contract was violated", //lint:allow panicfree (simulation-kernel invariant; a broken event loop cannot continue)
-		t, e.now, e.shardTag, srcPort, srcSeq))
+	panic(fmt.Sprintf("sim: cross-shard arrival at %v before now %v (shard %d) (src shard %d, seq %d): the lookahead contract was violated", //lint:allow panicfree (simulation-kernel invariant; a broken event loop cannot continue)
+		t, e.now, e.shard, srcPort, srcSeq))
 }
 
 // PostArrival enqueues a cross-shard arrival event: fn runs at absolute
@@ -142,10 +144,11 @@ func (e *Engine) Run(limit Time) (Time, error) {
 		if ev.t > e.now {
 			e.now = ev.t
 		}
+		e.events++
 		if ev.kind == evCall { // fast path: no dispatch call for plain events
 			ev.fn()
 		} else {
-			e.resumeProc(ev.kind, ev.p)
+			e.dispatch(&ev)
 		}
 		if e.failure != nil {
 			return e.now, e.failure
@@ -183,10 +186,11 @@ func (e *Engine) RunUntil(h Time) error {
 		if ev.t > e.now {
 			e.now = ev.t
 		}
+		e.events++
 		if ev.kind == evCall { // fast path: no dispatch call for plain events
 			ev.fn()
 		} else {
-			e.resumeProc(ev.kind, ev.p)
+			e.dispatch(&ev)
 		}
 		if e.failure != nil {
 			return e.failure
@@ -212,6 +216,17 @@ func (e *Engine) AdvanceTo(t Time) {
 	if t > e.now {
 		e.now = t
 	}
+}
+
+// dispatch fires a popped event that is not a plain call: a timer
+// entry or a process-lifecycle event.
+func (e *Engine) dispatch(ev *event) {
+	if ev.kind == evTimer {
+		e.expiring = ev.seq
+		ev.fn()
+		return
+	}
+	e.resumeProc(ev.kind, ev.p)
 }
 
 // resumeProc fires a process-lifecycle event. Each kind checks the
@@ -250,6 +265,18 @@ func (e *Engine) resumeProc(kind eventKind, p *Proc) {
 
 // Pending reports the number of events waiting in the queue.
 func (e *Engine) Pending() int { return e.queue.Len() }
+
+// Counters are an engine's deterministic work counts: the same
+// simulation yields the same counts on any machine.
+type Counters struct {
+	Events   int // queue entries dispatched, including timer entries that re-queued or were discarded
+	HeapPeak int // most entries ever pending in the queue at once
+}
+
+// Counters reports the work the engine has done so far.
+func (e *Engine) Counters() Counters {
+	return Counters{Events: e.events, HeapPeak: e.queue.peak}
+}
 
 // Blocked reports how many waiters — live processes parked on a
 // primitive, and callback waiters queued on a Cond — have nothing

@@ -20,6 +20,10 @@ const (
 	// The handed-over value is stored on the process by deliverAt, not
 	// on the event, keeping the event payload-free and small.
 	evDeliver
+	// evTimer is an entry of a Timer: fn is the timer's pop, which
+	// reads the entry's sequence number from Engine.expiring to tell
+	// its live entry from a superseded one.
+	evTimer
 )
 
 // event is a scheduled occurrence at time t. Events with equal times
@@ -56,6 +60,7 @@ const arrivalClass = uint64(1) << 63
 // cache-missing levels on large queues.
 type eventHeap struct {
 	items []event
+	peak  int // high-water of len(items)
 }
 
 func (h *eventHeap) Len() int { return len(h.items) }
@@ -74,6 +79,9 @@ func (h *eventHeap) less(i, j int) bool {
 func (h *eventHeap) push(ev event) {
 	h.items = append(h.items, ev) //lint:allow hotalloc (amortized growth; steady-state heap capacity is reused, see the zero-alloc benchmarks)
 	i := len(h.items) - 1
+	if i >= h.peak {
+		h.peak = i + 1
+	}
 	for i > 0 {
 		parent := (i - 1) / 4
 		if !h.less(i, parent) {

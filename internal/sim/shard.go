@@ -90,7 +90,7 @@ func NewGroup(shards int, look Duration) *Group {
 	}
 	for i := range g.engines {
 		g.engines[i] = NewEngine()
-		g.engines[i].shardTag = fmt.Sprintf(" (shard %d)", i)
+		g.engines[i].shard = int32(i)
 	}
 	return g
 }
