@@ -48,26 +48,31 @@ func analyze(t *testing.T, src string) (*dataflow.Result, *types.Info) {
 		Fset:          fset,
 		TaintMapRange: true,
 		TaintSelect:   true,
-		Call: func(call *ast.CallExpr, recv dataflow.Taint, args []dataflow.Taint) (dataflow.Effect, bool) {
-			id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-			if !ok {
-				return dataflow.Effect{}, false
-			}
-			switch id.Name {
-			case "source":
-				return dataflow.Effect{Result: dataflow.Taint{Desc: "test source"}, NoMutation: true}, true
-			case "sortit":
-				return dataflow.Effect{Kills: call.Args[:1], NoMutation: true}, true
-			case "twin":
-				return dataflow.Effect{
-					Results:    []dataflow.Taint{{Desc: "twin source"}, {}},
-					NoMutation: true,
-				}, true
-			}
-			return dataflow.Effect{}, false
-		},
+		Call:          testTaintCall,
 	}
 	return dataflow.Run(fd.Type, fd.Body, a), info
+}
+
+// testTaintCall is the unit tests' Call hook: source() is a
+// nondeterminism source, sortit(x) sanitizes x's base object, and
+// twin() returns a (tainted, clean) pair.
+func testTaintCall(call *ast.CallExpr, recv dataflow.Taint, args []dataflow.Taint) (dataflow.Effect, bool) {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return dataflow.Effect{}, false
+	}
+	switch id.Name {
+	case "source":
+		return dataflow.Effect{Result: dataflow.Taint{Desc: "test source"}, NoMutation: true}, true
+	case "sortit":
+		return dataflow.Effect{Kills: call.Args[:1], NoMutation: true}, true
+	case "twin":
+		return dataflow.Effect{
+			Results:    []dataflow.Taint{{Desc: "twin source"}, {}},
+			NoMutation: true,
+		}, true
+	}
+	return dataflow.Effect{}, false
 }
 
 const prelude = `package p

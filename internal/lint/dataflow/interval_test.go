@@ -45,24 +45,28 @@ func analyzeIv(t *testing.T, src string) (*dataflow.IntervalResult, *ast.File, *
 	a := &dataflow.IntervalAnalysis{
 		Info: info,
 		Fset: fset,
-		Call: func(call *ast.CallExpr, recv dataflow.Interval, args []dataflow.Interval) (dataflow.IntervalEffect, bool) {
-			id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-			if !ok {
-				return dataflow.IntervalEffect{}, false
-			}
-			switch id.Name {
-			case "idx":
-				return dataflow.IntervalEffect{
-					Results:    []dataflow.Interval{dataflow.AtLeast(-1)},
-					NoMutation: true,
-				}, true
-			case "sink", "pure":
-				return dataflow.IntervalEffect{NoMutation: true}, true
-			}
-			return dataflow.IntervalEffect{}, false
-		},
+		Call: testIntervalCall,
 	}
 	return dataflow.RunIntervals(fd.Type, fd.Body, a), file, info
+}
+
+// testIntervalCall is the unit tests' Call hook: idx() returns
+// [-1, +inf), and sink() and pure() have no effects.
+func testIntervalCall(call *ast.CallExpr, recv dataflow.Interval, args []dataflow.Interval) (dataflow.IntervalEffect, bool) {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return dataflow.IntervalEffect{}, false
+	}
+	switch id.Name {
+	case "idx":
+		return dataflow.IntervalEffect{
+			Results:    []dataflow.Interval{dataflow.AtLeast(-1)},
+			NoMutation: true,
+		}, true
+	case "sink", "pure":
+		return dataflow.IntervalEffect{NoMutation: true}, true
+	}
+	return dataflow.IntervalEffect{}, false
 }
 
 const ivPrelude = `package p

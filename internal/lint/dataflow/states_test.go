@@ -80,6 +80,26 @@ func use(t *T)           {}
 func cond() bool         { return false }
 `
 
+// testOrigin is the unit tests' Origin hook: mk, mustMk, mkG and
+// mkErr create values of the test protocols above.
+func testOrigin(call *ast.CallExpr) (*dataflow.Proto, int, bool) {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return nil, 0, false
+	}
+	switch id.Name {
+	case "mk":
+		return testProto, 0, true
+	case "mustMk":
+		return mustProto, 0, true
+	case "mkG":
+		return heldProto, 0, true
+	case "mkErr":
+		return mustProto, 0, true
+	}
+	return nil, 0, false
+}
+
 // runProto analyzes function F in src and returns the violation
 // messages in positional order.
 func runProto(t *testing.T, src string) []string {
@@ -122,26 +142,10 @@ func runProto(t *testing.T, src string) []string {
 	}
 	var got []posMsg
 	a := &dataflow.StateAnalysis{
-		Info: info,
-		Fset: fset,
-		Origin: func(call *ast.CallExpr) (*dataflow.Proto, int, bool) {
-			id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-			if !ok {
-				return nil, 0, false
-			}
-			switch id.Name {
-			case "mk":
-				return testProto, 0, true
-			case "mustMk":
-				return mustProto, 0, true
-			case "mkG":
-				return heldProto, 0, true
-			case "mkErr":
-				return mustProto, 0, true
-			}
-			return nil, 0, false
-		},
-		Decl: func(fn *types.Func) *ast.FuncDecl { return decls[fn] },
+		Info:   info,
+		Fset:   fset,
+		Origin: testOrigin,
+		Decl:   func(fn *types.Func) *ast.FuncDecl { return decls[fn] },
 		Report: func(v dataflow.ProtoViolation) {
 			got = append(got, posMsg{v.Pos, v.Msg})
 		},
