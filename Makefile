@@ -18,7 +18,7 @@ GATED_BENCHTIME := 500ms
 GATED_COUNT     := 3
 BENCHDIFF_BAND  ?= 40
 
-.PHONY: all build test race lint vet vuln fuzz bench bench-baseline benchdiff bench-profile profgate ci clean
+.PHONY: all build test validate race lint vet vuln fuzz bench bench-baseline benchdiff bench-profile profgate ci clean
 
 all: build
 
@@ -27,6 +27,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The paper-band gate: cmd/validate reruns the reproduction's 26
+# paper-band checks and exits non-zero when a result leaves its band.
+# Documented divergences are reported but do not fail the gate.
+validate:
+	$(GO) run ./cmd/validate
 
 # The plain -race sweep already covers everything; the second pass
 # re-runs the parallel drivers and the sharded-core equality tests
@@ -142,7 +148,7 @@ vuln:
 		echo "govulncheck not installed; skipping"; \
 	fi
 
-ci: build test lint race profgate benchdiff fuzz vuln
+ci: build test validate lint race profgate benchdiff fuzz vuln
 
 clean:
 	rm -rf $(BIN)
