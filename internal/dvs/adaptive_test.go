@@ -13,8 +13,8 @@ import (
 // governor and returns the policy for inspection.
 func runAdaptive(t *testing.T, visits int, body func(p *sim.Proc, n *machine.Node)) (*adaptivePolicy, *machine.Node) {
 	t.Helper()
-	e := sim.NewEngine()
-	n := machine.NewNode(e, 0, machine.DefaultParams())
+	g, e, nodes := newCluster(t, 1)
+	n := nodes[0]
 	a := NewAdaptive()
 	pol := a.Install(InstallCtx{Eng: e, Nodes: []*machine.Node{n}, BaseIdx: 0}).(*adaptivePolicy)
 	ctx := powerpack.NewNodeCtx(n, powerpack.NewProfiler(), pol)
@@ -27,9 +27,7 @@ func runAdaptive(t *testing.T, visits int, body func(p *sim.Proc, n *machine.Nod
 			n.IdleFor(p, 10*sim.Millisecond)
 		}
 	})
-	if _, err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, g)
 	return pol, n
 }
 

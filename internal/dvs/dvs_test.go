@@ -9,31 +9,35 @@ import (
 	"repro/internal/sim"
 )
 
-func newCluster(t *testing.T, n int) (*sim.Engine, []*machine.Node) {
+// newCluster builds n fresh nodes on the engine of a one-shard group,
+// closed when the test ends.
+func newCluster(t *testing.T, n int) (*sim.Group, *sim.Engine, []*machine.Node) {
 	t.Helper()
-	e := sim.NewEngine()
+	g := sim.NewGroup(1, sim.Second)
+	t.Cleanup(g.Close)
+	e := g.Engine(0)
 	nodes := make([]*machine.Node, n)
 	for i := range nodes {
 		nodes[i] = machine.NewNode(e, i, machine.DefaultParams())
 	}
-	return e, nodes
+	return g, e, nodes
 }
 
-func mustRun(t *testing.T, e *sim.Engine) {
+func mustRun(t *testing.T, g *sim.Group) {
 	t.Helper()
-	if _, err := e.Run(0); err != nil {
+	if _, err := g.Run(0); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestStaticPinsAllNodes(t *testing.T) {
-	e, nodes := newCluster(t, 4)
+	g, e, nodes := newCluster(t, 4)
 	pol := (Static{}).Install(InstallCtx{Eng: e, Nodes: nodes, BaseIdx: 3})
 	if pol != nil {
 		t.Fatal("static should not install a region policy")
 	}
 	e.Spawn("w", func(p *sim.Proc) { p.Sleep(sim.Second) })
-	mustRun(t, e)
+	mustRun(t, g)
 	for i, n := range nodes {
 		if n.OPIndex() != 3 {
 			t.Fatalf("node %d at index %d", i, n.OPIndex())
@@ -45,7 +49,7 @@ func TestStaticPinsAllNodes(t *testing.T) {
 }
 
 func TestDynamicDropsAndRestores(t *testing.T) {
-	e, nodes := newCluster(t, 1)
+	g, e, nodes := newCluster(t, 1)
 	d := NewDynamic("fft")
 	pol := d.Install(InstallCtx{Eng: e, Nodes: nodes, BaseIdx: 1})
 	if pol == nil {
@@ -66,7 +70,7 @@ func TestDynamicDropsAndRestores(t *testing.T) {
 		inOther = n.OperatingPoint().Freq
 		ctx.ExitRegion(p, "io")
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	if inRegion != 600*dvfs.MHz {
 		t.Fatalf("inside region at %v, want 600MHz", inRegion)
 	}
@@ -79,7 +83,7 @@ func TestDynamicDropsAndRestores(t *testing.T) {
 }
 
 func TestDynamicNestedRegions(t *testing.T) {
-	e, nodes := newCluster(t, 1)
+	g, e, nodes := newCluster(t, 1)
 	d := NewDynamic() // all regions
 	pol := d.Install(InstallCtx{Eng: e, Nodes: nodes, BaseIdx: 0})
 	n := nodes[0]
@@ -97,7 +101,7 @@ func TestDynamicNestedRegions(t *testing.T) {
 		}
 		ctx.ExitRegion(p, "outer")
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	if transitionsMid != 0 {
 		t.Fatalf("nested region caused %d transitions", transitionsMid)
 	}
@@ -107,7 +111,7 @@ func TestDynamicNestedRegions(t *testing.T) {
 }
 
 func TestDynamicExplicitTarget(t *testing.T) {
-	e, nodes := newCluster(t, 1)
+	g, e, nodes := newCluster(t, 1)
 	d := &Dynamic{TargetIdx: 2}
 	pol := d.Install(InstallCtx{Eng: e, Nodes: nodes, BaseIdx: 0})
 	n := nodes[0]
@@ -120,11 +124,11 @@ func TestDynamicExplicitTarget(t *testing.T) {
 		}
 		ctx.ExitRegion(p, "r")
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 }
 
 func TestCpuspeedStaysHighUnderBusyLoad(t *testing.T) {
-	e, nodes := newCluster(t, 1)
+	g, e, nodes := newCluster(t, 1)
 	n := nodes[0]
 	done := false
 	NewCpuspeed().Install(InstallCtx{Eng: e, Nodes: nodes, Done: func() bool { return done }})
@@ -132,7 +136,7 @@ func TestCpuspeedStaysHighUnderBusyLoad(t *testing.T) {
 		n.Compute(p, 1.4e9*10) // 10 s of full-tilt work
 		done = true
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	if n.OPIndex() != 0 {
 		t.Fatalf("busy node stepped down to index %d", n.OPIndex())
 	}
@@ -142,7 +146,7 @@ func TestCpuspeedStaysHighUnderBusyLoad(t *testing.T) {
 }
 
 func TestCpuspeedStepsDownWhenIdle(t *testing.T) {
-	e, nodes := newCluster(t, 1)
+	g, e, nodes := newCluster(t, 1)
 	n := nodes[0]
 	done := false
 	NewCpuspeed().Install(InstallCtx{Eng: e, Nodes: nodes, Done: func() bool { return done }})
@@ -150,7 +154,7 @@ func TestCpuspeedStepsDownWhenIdle(t *testing.T) {
 		n.IdleFor(p, 10*sim.Second)
 		done = true
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	// One step per interval: after 10 idle seconds it must be at the
 	// bottom.
 	if n.OPIndex() != n.Params().Table.Len()-1 {
@@ -159,7 +163,7 @@ func TestCpuspeedStepsDownWhenIdle(t *testing.T) {
 }
 
 func TestCpuspeedJumpsBackToMax(t *testing.T) {
-	e, nodes := newCluster(t, 1)
+	g, e, nodes := newCluster(t, 1)
 	n := nodes[0]
 	done := false
 	NewCpuspeed().Install(InstallCtx{Eng: e, Nodes: nodes, Done: func() bool { return done }})
@@ -170,7 +174,7 @@ func TestCpuspeedJumpsBackToMax(t *testing.T) {
 		n.Compute(p, 1.4e9*5) // sustained load
 		done = true
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	if idxAfterIdle == 0 {
 		t.Fatal("daemon never stepped down during idle")
 	}
@@ -191,21 +195,21 @@ func TestCpuspeedJumpsBackToMax(t *testing.T) {
 }
 
 func TestCpuspeedTerminatesOnDone(t *testing.T) {
-	e, nodes := newCluster(t, 2)
+	g, e, nodes := newCluster(t, 2)
 	done := false
 	NewCpuspeed().Install(InstallCtx{Eng: e, Nodes: nodes, Done: func() bool { return done }})
 	e.Spawn("app", func(p *sim.Proc) {
 		p.Sleep(3 * sim.Second)
 		done = true
 	})
-	mustRun(t, e) // would deadlock/never drain if daemons did not exit
+	mustRun(t, g) // would deadlock/never drain if daemons did not exit
 	if e.Live() != 0 {
 		t.Fatalf("%d processes still live", e.Live())
 	}
 }
 
 func TestCpuspeedInvalidInterval(t *testing.T) {
-	e, nodes := newCluster(t, 1)
+	_, e, nodes := newCluster(t, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -221,7 +225,7 @@ func TestStrategyNames(t *testing.T) {
 }
 
 func TestSlackGovernorScalesWaitingNodeDown(t *testing.T) {
-	e, nodes := newCluster(t, 2)
+	g, e, nodes := newCluster(t, 2)
 	done := false
 	NewSlack().Install(InstallCtx{Eng: e, Nodes: nodes, BaseIdx: 0, Done: func() bool { return done }})
 	// Node 0 computes; node 1 sits in MPI-style spin-wait.
@@ -234,7 +238,7 @@ func TestSlackGovernorScalesWaitingNodeDown(t *testing.T) {
 		p.Sleep(8 * sim.Second)
 		nodes[1].SetState(machine.Idle)
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	if nodes[0].OPIndex() != 0 {
 		t.Fatalf("busy node stepped down to %d", nodes[0].OPIndex())
 	}
@@ -244,7 +248,7 @@ func TestSlackGovernorScalesWaitingNodeDown(t *testing.T) {
 }
 
 func TestSlackGovernorRecovers(t *testing.T) {
-	e, nodes := newCluster(t, 1)
+	g, e, nodes := newCluster(t, 1)
 	n := nodes[0]
 	done := false
 	NewSlack().Install(InstallCtx{Eng: e, Nodes: nodes, BaseIdx: 0, Done: func() bool { return done }})
@@ -255,14 +259,14 @@ func TestSlackGovernorRecovers(t *testing.T) {
 		n.Compute(p, 1.4e9*5) // sustained work: governor walks back up
 		done = true
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	if n.OPIndex() != 0 {
 		t.Fatalf("governor did not recover to base: index %d", n.OPIndex())
 	}
 }
 
 func TestSlackGovernorRespectsBasePoint(t *testing.T) {
-	e, nodes := newCluster(t, 1)
+	g, e, nodes := newCluster(t, 1)
 	n := nodes[0]
 	done := false
 	// Base point is 1.0 GHz (index 2): recovery must stop there.
@@ -274,14 +278,14 @@ func TestSlackGovernorRespectsBasePoint(t *testing.T) {
 		n.Compute(p, 1e9*5)
 		done = true
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	if n.OPIndex() != 2 {
 		t.Fatalf("governor at index %d, want base 2", n.OPIndex())
 	}
 }
 
 func TestSlackGovernorValidation(t *testing.T) {
-	e, nodes := newCluster(t, 1)
+	_, e, nodes := newCluster(t, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")

@@ -112,17 +112,17 @@ func TestDeclOf(t *testing.T) {
 		want string
 		ok   bool
 	}{
-		{"repro/internal/sim.NewEngine", "NewEngine", true},
+		{"repro/internal/sim.NewGroup", "NewGroup", true},
 		{"repro/internal/sim.(*Engine).Schedule", "*Engine.Schedule", true},
 		{"repro/internal/sim.Time.Add", "Time.Add", true},
-		{"repro/internal/sim.(*Engine).Run.func1", "*Engine.Run", true},
-		{"repro/internal/sim.(*Engine).Run.func1.2", "*Engine.Run", true},
+		{"repro/internal/sim.(*Group).Run.func1", "*Group.Run", true},
+		{"repro/internal/sim.(*Group).Run.func1.2", "*Group.Run", true},
 		{"repro/internal/sim.(*Proc).wake-fm", "*Proc.wake", true},
 		{"repro/internal/sim.run.gowrap1", "run", true},
 		{"repro/internal/sim.run.deferwrap1", "run", true},
 		{"repro/internal/sim.Map[go.shape.int_0,go.shape.string_1]", "Map", true},
 		{"repro/internal/sim.(*Table[go.shape.int_0]).At", "*Table.At", true},
-		{"repro/internal/simx.NewEngine", "", false}, // other package: prefix must match exactly
+		{"repro/internal/simx.NewGroup", "", false}, // other package: prefix must match exactly
 		{"runtime.mallocgc", "", false},
 	}
 	for _, c := range cases {
@@ -140,7 +140,7 @@ func TestCanonName(t *testing.T) {
 		"(*Engine).Schedule": "*Engine.Schedule", // runtime and callgraph pointer receivers
 		"(Time).Add":         "Time.Add",         // callgraph value receiver
 		"Time.Add":           "Time.Add",         // runtime value receiver
-		"NewEngine":          "NewEngine",
+		"NewGroup":           "NewGroup",
 	}
 	for in, want := range cases {
 		if got := canonName(in); got != want {

@@ -10,15 +10,23 @@ import (
 	"repro/internal/sim"
 )
 
-func newTestNode(t *testing.T) (*sim.Engine, *Node) {
-	t.Helper()
-	e := sim.NewEngine()
-	return e, NewNode(e, 0, DefaultParams())
+// oneShard returns a fresh one-shard group and its engine, closed when
+// the test ends.
+func oneShard(t *testing.T) (*sim.Group, *sim.Engine) {
+	g := sim.NewGroup(1, sim.Second)
+	t.Cleanup(g.Close)
+	return g, g.Engine(0)
 }
 
-func run(t *testing.T, e *sim.Engine) sim.Time {
+func newTestNode(t *testing.T) (*sim.Group, *sim.Engine, *Node) {
 	t.Helper()
-	end, err := e.Run(0)
+	g, e := oneShard(t)
+	return g, e, NewNode(e, 0, DefaultParams())
+}
+
+func run(t *testing.T, g *sim.Group) sim.Time {
+	t.Helper()
+	end, err := g.Run(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +63,7 @@ func TestComputeDurationScalesWithFrequency(t *testing.T) {
 	par := DefaultParams()
 	var durations []sim.Duration
 	for i := 0; i < par.Table.Len(); i++ {
-		e := sim.NewEngine()
+		g, e := oneShard(t)
 		n := NewNode(e, 0, par)
 		i := i
 		e.Spawn("w", func(p *sim.Proc) {
@@ -64,7 +72,7 @@ func TestComputeDurationScalesWithFrequency(t *testing.T) {
 			n.Compute(p, 1.4e9) // one second of work at full speed
 			durations = append(durations, p.Now().Sub(start))
 		})
-		run(t, e)
+		run(t, g)
 	}
 	// Slower clock always takes longer.
 	for i := 1; i < len(durations); i++ {
@@ -83,7 +91,7 @@ func TestComputeDurationScalesWithFrequency(t *testing.T) {
 func TestMemoryRoundsWeaklyFrequencyDependent(t *testing.T) {
 	par := DefaultParams()
 	elapsed := func(opIdx int) sim.Duration {
-		e := sim.NewEngine()
+		g, e := oneShard(t)
 		n := NewNode(e, 0, par)
 		var d sim.Duration
 		e.Spawn("w", func(p *sim.Proc) {
@@ -92,7 +100,7 @@ func TestMemoryRoundsWeaklyFrequencyDependent(t *testing.T) {
 			n.MemoryRounds(p, 1_000_000)
 			d = p.Now().Sub(start)
 		})
-		run(t, e)
+		run(t, g)
 		return d
 	}
 	fast, slow := elapsed(0), elapsed(par.Table.Len()-1)
@@ -104,11 +112,11 @@ func TestMemoryRoundsWeaklyFrequencyDependent(t *testing.T) {
 }
 
 func TestEnergyIntegration(t *testing.T) {
-	e, n := newTestNode(t)
+	g, e, n := newTestNode(t)
 	e.Spawn("w", func(p *sim.Proc) {
 		n.Compute(p, 1.4e9) // ~1s at 1.4GHz
 	})
-	end := run(t, e)
+	end := run(t, g)
 	total := n.EnergyAt(end)
 	// At full tilt the node draws CPU (22 + leak ~1.1) + base ~8.6 W;
 	// for ~1s expect ~32 J.
@@ -132,10 +140,10 @@ func TestEnergyIntegration(t *testing.T) {
 func TestIdleDrawsLess(t *testing.T) {
 	par := DefaultParams()
 	energy := func(body func(p *sim.Proc, n *Node)) power.Joules {
-		e := sim.NewEngine()
+		g, e := oneShard(t)
 		n := NewNode(e, 0, par)
 		e.Spawn("w", func(p *sim.Proc) { body(p, n) })
-		end := run(t, e)
+		end := run(t, g)
 		return n.EnergyAt(end)
 	}
 	busy := energy(func(p *sim.Proc, n *Node) { n.Compute(p, 1.4e9) })
@@ -149,7 +157,7 @@ func TestIdleDrawsLess(t *testing.T) {
 }
 
 func TestMemoryStateActivatesDRAMPower(t *testing.T) {
-	e, n := newTestNode(t)
+	g, e, n := newTestNode(t)
 	e.Spawn("w", func(p *sim.Proc) {
 		n.SetState(MemoryStall)
 		before := n.Power()
@@ -160,11 +168,11 @@ func TestMemoryStateActivatesDRAMPower(t *testing.T) {
 			t.Errorf("memory-stall power %v not above idle %v", before, after)
 		}
 	})
-	run(t, e)
+	run(t, g)
 }
 
 func TestNICActivePower(t *testing.T) {
-	e, n := newTestNode(t)
+	g, e, n := newTestNode(t)
 	e.Spawn("w", func(p *sim.Proc) {
 		idleP := n.Power()
 		n.SetNICActive(true)
@@ -179,11 +187,11 @@ func TestNICActivePower(t *testing.T) {
 			t.Error("NIC power not restored")
 		}
 	})
-	run(t, e)
+	run(t, g)
 }
 
 func TestUtilizationAccounting(t *testing.T) {
-	e, n := newTestNode(t)
+	g, e, n := newTestNode(t)
 	e.Spawn("w", func(p *sim.Proc) {
 		n.SetState(Compute)
 		p.Sleep(300 * sim.Millisecond)
@@ -193,7 +201,7 @@ func TestUtilizationAccounting(t *testing.T) {
 		p.Sleep(200 * sim.Millisecond)
 		n.SetState(Idle)
 	})
-	end := run(t, e)
+	end := run(t, g)
 	busy, idle := n.Utilization()
 	if busy != 500*sim.Millisecond {
 		t.Fatalf("busy = %v", busy)
@@ -210,7 +218,7 @@ func TestUtilizationAccounting(t *testing.T) {
 }
 
 func TestUtilizationIncludesOpenInterval(t *testing.T) {
-	e, n := newTestNode(t)
+	g, e, n := newTestNode(t)
 	e.Spawn("w", func(p *sim.Proc) {
 		n.SetState(Compute)
 		p.Sleep(100 * sim.Millisecond)
@@ -224,11 +232,11 @@ func TestUtilizationIncludesOpenInterval(t *testing.T) {
 		}
 		n.SetState(Idle)
 	})
-	run(t, e)
+	run(t, g)
 }
 
 func TestDVSTransitionCostsAndLog(t *testing.T) {
-	e, n := newTestNode(t)
+	g, e, n := newTestNode(t)
 	e.Spawn("w", func(p *sim.Proc) {
 		start := p.Now()
 		n.SetOperatingPointIndex(p, 4)
@@ -241,7 +249,7 @@ func TestDVSTransitionCostsAndLog(t *testing.T) {
 		n.SetOperatingPointIndex(p, 4) // no-op: same point
 		n.SetFrequency(p, 1000*dvfs.MHz)
 	})
-	run(t, e)
+	run(t, g)
 	if n.Transitions() != 2 {
 		t.Fatalf("transitions = %d", n.Transitions())
 	}
@@ -255,7 +263,7 @@ func TestDVSTransitionCostsAndLog(t *testing.T) {
 }
 
 func TestAsyncTransition(t *testing.T) {
-	e, n := newTestNode(t)
+	g, e, n := newTestNode(t)
 	e.Spawn("w", func(p *sim.Proc) {
 		n.SetState(Spin)
 		p.Sleep(sim.Second)
@@ -264,7 +272,7 @@ func TestAsyncTransition(t *testing.T) {
 	e.Schedule(sim.Time(200*sim.Millisecond), func() {
 		n.SetOperatingPointIndexAsync(4)
 	})
-	run(t, e)
+	run(t, g)
 	if n.OPIndex() != 4 {
 		t.Fatal("async transition did not apply")
 	}
@@ -279,12 +287,12 @@ func TestAsyncTransition(t *testing.T) {
 }
 
 func TestAsyncTransitionDoesNotStompNewState(t *testing.T) {
-	e, n := newTestNode(t)
+	g, e, n := newTestNode(t)
 	e.Schedule(sim.Time(0), func() { n.SetOperatingPointIndexAsync(4) })
 	// Workload changes state during the 10µs transition window.
 	e.Schedule(sim.Time(5*sim.Microsecond), func() { n.SetState(Compute) })
 	e.Schedule(sim.Time(sim.Second), func() { n.SetState(Idle) })
-	run(t, e)
+	run(t, g)
 	// The delayed restore must not overwrite Compute back to Switching's
 	// saved state.
 	if got := n.StateTime(Compute); got != sim.Duration(sim.Second)-5*sim.Microsecond {
@@ -293,7 +301,7 @@ func TestAsyncTransitionDoesNotStompNewState(t *testing.T) {
 }
 
 func TestOutOfRangeOperatingPointErrors(t *testing.T) {
-	e, n := newTestNode(t)
+	g, e, n := newTestNode(t)
 	e.Spawn("w", func(p *sim.Proc) {
 		if err := n.SetOperatingPointIndex(p, 99); err == nil {
 			t.Error("expected error for index 99")
@@ -307,7 +315,7 @@ func TestOutOfRangeOperatingPointErrors(t *testing.T) {
 			t.Errorf("transitions = %d after failed switches", n.Transitions())
 		}
 	})
-	run(t, e)
+	run(t, g)
 }
 
 func TestLowerFrequencyLowersPower(t *testing.T) {
@@ -315,7 +323,7 @@ func TestLowerFrequencyLowersPower(t *testing.T) {
 	for _, st := range []State{Compute, MemoryStall, Spin, Blocked, Idle} {
 		var prev power.Watts
 		for i := 0; i < par.Table.Len(); i++ {
-			e := sim.NewEngine()
+			g, e := oneShard(t)
 			n := NewNode(e, 0, par)
 			var got power.Watts
 			i := i
@@ -325,7 +333,7 @@ func TestLowerFrequencyLowersPower(t *testing.T) {
 				got = n.Power()
 				n.SetState(Idle)
 			})
-			run(t, e)
+			run(t, g)
 			if i > 0 && got >= prev {
 				t.Errorf("state %v: power %v at point %d not below %v", st, got, i, prev)
 			}
@@ -342,7 +350,7 @@ func TestAccountingInvariantProperty(t *testing.T) {
 		if len(ops) > 30 {
 			ops = ops[:30]
 		}
-		e := sim.NewEngine()
+		g, e := oneShard(t)
 		n := NewNode(e, 0, par)
 		ok := true
 		e.Spawn("w", func(p *sim.Proc) {
@@ -371,7 +379,7 @@ func TestAccountingInvariantProperty(t *testing.T) {
 				}
 			}
 		})
-		if _, err := e.Run(0); err != nil {
+		if _, err := g.Run(0); err != nil {
 			return false
 		}
 		return ok
@@ -382,7 +390,7 @@ func TestAccountingInvariantProperty(t *testing.T) {
 }
 
 func TestNodeAccessors(t *testing.T) {
-	e, n := newTestNode(t)
+	_, e, n := newTestNode(t)
 	if n.ID() != 0 || n.Engine() != e || n.State() != Idle {
 		t.Fatal("accessors")
 	}
@@ -397,21 +405,21 @@ func TestNodeAccessors(t *testing.T) {
 }
 
 func TestComputeFlops(t *testing.T) {
-	e, n := newTestNode(t)
+	g, e, n := newTestNode(t)
 	var d sim.Duration
 	e.Spawn("w", func(p *sim.Proc) {
 		start := p.Now()
 		n.ComputeFlops(p, 1.4e9) // at 1 flop/cycle this is ~1s at 1.4GHz
 		d = p.Now().Sub(start)
 	})
-	run(t, e)
+	run(t, g)
 	if d < 990*sim.Millisecond || d > 1010*sim.Millisecond {
 		t.Fatalf("1.4 Gflop took %v", d)
 	}
 }
 
 func TestCopyBytesAndCycles(t *testing.T) {
-	e, n := newTestNode(t)
+	g, e, n := newTestNode(t)
 	e.Spawn("w", func(p *sim.Proc) {
 		start := p.Now()
 		n.CopyBytes(p, 1<<20) // 1 MB
@@ -427,14 +435,14 @@ func TestCopyBytesAndCycles(t *testing.T) {
 			t.Errorf("CopyCycles took %v", got)
 		}
 	})
-	run(t, e)
+	run(t, g)
 	if ct := n.StateTime(Copy); ct <= 0 {
 		t.Fatal("copy state never booked")
 	}
 }
 
 func TestComponentPower(t *testing.T) {
-	e, n := newTestNode(t)
+	g, e, n := newTestNode(t)
 	e.Spawn("w", func(p *sim.Proc) {
 		var sum power.Watts
 		for _, c := range power.Components() {
@@ -447,11 +455,11 @@ func TestComponentPower(t *testing.T) {
 			t.Error("board power")
 		}
 	})
-	run(t, e)
+	run(t, g)
 }
 
 func TestZeroWorkIsFree(t *testing.T) {
-	e, n := newTestNode(t)
+	g, e, n := newTestNode(t)
 	e.Spawn("w", func(p *sim.Proc) {
 		start := p.Now()
 		n.MemoryRounds(p, 0)
@@ -463,7 +471,7 @@ func TestZeroWorkIsFree(t *testing.T) {
 			t.Error("zero work consumed time")
 		}
 	})
-	run(t, e)
+	run(t, g)
 }
 
 func TestLowPowerParams(t *testing.T) {
@@ -476,11 +484,11 @@ func TestLowPowerParams(t *testing.T) {
 	}
 	// A low-power node under full load draws far less than the
 	// Pentium M node...
-	e := sim.NewEngine()
+	_, e := oneShard(t)
 	n := NewNode(e, 0, lp)
 	n.SetState(Compute)
 	lpPower := n.Power()
-	e2 := sim.NewEngine()
+	_, e2 := oneShard(t)
 	n2 := NewNode(e2, 0, DefaultParams())
 	n2.SetState(Compute)
 	if lpPower >= n2.Power()/2 {

@@ -153,38 +153,17 @@ func NewBaytechStrip(nodes []*machine.Node, interval sim.Duration) *BaytechStrip
 	}
 }
 
-// Spawn starts the management unit's polling process.
-func (s *BaytechStrip) Spawn(eng *sim.Engine, done func() bool) {
-	eng.Spawn("baytech", func(p *sim.Proc) {
-		for i, n := range s.nodes {
-			s.lastE[i] = n.EnergyAt(p.Now())
-		}
-		for {
-			p.Sleep(s.interval)
-			now := p.Now()
-			for i, n := range s.nodes {
-				e := n.EnergyAt(now)
-				avg := power.Watts(float64(e-s.lastE[i]) / s.interval.Seconds())
-				s.lastE[i] = e
-				s.records = append(s.records, OutletRecord{At: now, Outlet: i, AvgW: avg})
-			}
-			if done != nil && done() {
-				return
-			}
-		}
-	})
-}
-
 // GlobalPri is the coordinator-global priority the strip's polls use;
 // it must not collide with any other same-time global source (see
 // sim.Group.ScheduleGlobal).
 const GlobalPri = 2
 
-// SpawnGroup starts the polling process on a sharded group. Each poll
-// runs as a coordinator global at a window barrier, where every
-// shard's node energy integrator is safely visible; poll times and
-// record order match Spawn. The first tick only baselines the energy
-// counters, mirroring Spawn's pre-loop read.
+// SpawnGroup starts polling on g at g.Now(). Each poll runs as a
+// coordinator global at a window barrier, where every shard's node
+// energy integrator is safely visible, and sees the state left by
+// shard events strictly before its time. The first tick only
+// baselines the energy counters; the strip then records every outlet
+// each interval until a poll finds done() true.
 func (s *BaytechStrip) SpawnGroup(g *sim.Group, done func() bool) {
 	start := g.Now()
 	g.ScheduleGlobal(start, GlobalPri, func() {

@@ -9,24 +9,32 @@ import (
 	"repro/internal/sim"
 )
 
+// oneShard returns a fresh one-shard group and its engine, closed when
+// the test ends.
+func oneShard(t *testing.T) (*sim.Group, *sim.Engine) {
+	g := sim.NewGroup(1, sim.Second)
+	t.Cleanup(g.Close)
+	return g, g.Engine(0)
+}
+
 // fixture: a node burning CPU for the given duration, with battery and
 // strip attached.
 func runFixture(t *testing.T, workSeconds float64, refresh, stripInterval sim.Duration) (*machine.Node, *ACPIBattery, *BaytechStrip, sim.Time) {
 	t.Helper()
-	e := sim.NewEngine()
+	g, e := oneShard(t)
 	n := machine.NewNode(e, 0, machine.DefaultParams())
 	done := false
 	bat := NewACPIBattery(n, DefaultBatteryCapacityMWh, refresh)
 	bat.Spawn(e, func() bool { return done })
 	strip := NewBaytechStrip([]*machine.Node{n}, stripInterval)
-	strip.Spawn(e, func() bool { return done })
+	strip.SpawnGroup(g, func() bool { return done })
 	var endOfWork sim.Time
 	e.Spawn("app", func(p *sim.Proc) {
 		n.Compute(p, 1.4e9*workSeconds)
 		endOfWork = p.Now()
 		done = true
 	})
-	if _, err := e.Run(0); err != nil {
+	if _, err := g.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	return n, bat, strip, endOfWork
@@ -80,7 +88,7 @@ func TestBatteryEnergyBetweenRequiresBracketing(t *testing.T) {
 }
 
 func TestBatteryExhaustion(t *testing.T) {
-	e := sim.NewEngine()
+	g, e := oneShard(t)
 	n := machine.NewNode(e, 0, machine.DefaultParams())
 	done := false
 	// Tiny battery: 1 mWh = 3.6 J, gone in well under a second at ~31 W.
@@ -90,7 +98,7 @@ func TestBatteryExhaustion(t *testing.T) {
 		n.Compute(p, 1.4e9) // ~1 s
 		done = true
 	})
-	if _, err := e.Run(0); err != nil {
+	if _, err := g.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if !bat.Exhausted() {
@@ -146,10 +154,17 @@ func TestBaytechEnergyIntegration(t *testing.T) {
 
 func TestCrossValidationACPIvsBaytech(t *testing.T) {
 	// The paper's redundancy check: both instruments agree on energy.
-	n, bat, strip, _ := runFixture(t, 600, 17*sim.Second, sim.Minute)
-	_ = n
-	recs := strip.Records()
-	lastAt := recs[len(recs)-1].At
+	_, bat, strip, _ := runFixture(t, 600, 17*sim.Second, sim.Minute)
+	// Each instrument stops at its own first poll after the work ends,
+	// so compare over the window both cover: up to the last strip record
+	// at or before the battery's final reading.
+	rs := bat.Readings()
+	var lastAt sim.Time
+	for _, r := range strip.Records() {
+		if r.At <= rs[len(rs)-1].At {
+			lastAt = r.At
+		}
+	}
 	acpi, ok1 := bat.EnergyBetween(0, lastAt)
 	bay, ok2 := strip.EnergyBetween(0, 0, lastAt)
 	if !ok1 || !ok2 {
@@ -162,7 +177,7 @@ func TestCrossValidationACPIvsBaytech(t *testing.T) {
 }
 
 func TestMeterConstructorsValidate(t *testing.T) {
-	e := sim.NewEngine()
+	_, e := oneShard(t)
 	n := machine.NewNode(e, 0, machine.DefaultParams())
 	mustPanic := func(name string, fn func()) {
 		t.Helper()

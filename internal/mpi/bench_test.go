@@ -11,8 +11,8 @@ import (
 // Waits for its own send. One op is one exchange (two messages), so
 // allocs/op is the per-message protocol state of the request path.
 func BenchmarkIsendEager(b *testing.B) {
-	e, w := testWorld(2, nil)
-	defer e.Close()
+	g, w := testWorld(2, nil)
+	defer g.Close()
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		peer := 1 - r.ID()
 		for i := 0; i < b.N; i++ {
@@ -23,7 +23,7 @@ func BenchmarkIsendEager(b *testing.B) {
 	})
 	b.ReportAllocs()
 	b.ResetTimer()
-	if _, err := e.Run(0); err != nil {
+	if _, err := g.Run(0); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -32,8 +32,8 @@ func BenchmarkIsendEager(b *testing.B) {
 // per peer across 64 ranks (4,032 eager messages per op), the
 // communication pattern that dominates the paper's FT runs.
 func BenchmarkAlltoall64(b *testing.B) {
-	e, w := testWorld(64, nil)
-	defer e.Close()
+	g, w := testWorld(64, nil)
+	defer g.Close()
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		for i := 0; i < b.N; i++ {
 			r.Alltoall(p, 1024)
@@ -41,7 +41,7 @@ func BenchmarkAlltoall64(b *testing.B) {
 	})
 	b.ReportAllocs()
 	b.ResetTimer()
-	if _, err := e.Run(0); err != nil {
+	if _, err := g.Run(0); err != nil {
 		b.Fatal(err)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/machine"
-	"repro/internal/netsim"
 	"repro/internal/power"
 	"repro/internal/sim"
 )
@@ -81,17 +80,8 @@ func goldenProgram(p *sim.Proc, r *Rank, log *[]string) {
 // per-component energies at the common end time.
 func goldenDigest(t *testing.T, shards, n int, tweak func(*Config), prog func(p *sim.Proc, r *Rank, log *[]string)) string {
 	t.Helper()
-	g := sim.NewGroup(shards, netsim.Default100Mb().Latency)
+	g, w := shardedWorld(shards, n, tweak)
 	defer g.Close()
-	nodes := make([]*machine.Node, n)
-	for i := range nodes {
-		nodes[i] = machine.NewNode(g.Engine(i*shards/n), i, machine.DefaultParams())
-	}
-	cfg := DefaultConfig()
-	if tweak != nil {
-		tweak(&cfg)
-	}
-	w := NewWorldOn(g, nodes, netsim.New(g.Engine(0), n, netsim.Default100Mb()), cfg)
 	logs := make([][]string, n)
 	ends := make([]sim.Time, n)
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
@@ -107,7 +97,8 @@ func goldenDigest(t *testing.T, shards, n int, tweak func(*Config), prog func(p 
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "end %d\n", end)
-	for i, nd := range nodes {
+	for i := 0; i < n; i++ {
+		nd := w.Rank(i).Node()
 		fmt.Fprintf(&b, "rank %d %+v\n", i, w.Rank(i).Stats())
 		for _, line := range logs[i] {
 			fmt.Fprintf(&b, "  %s\n", line)
@@ -151,35 +142,27 @@ func TestGoldenEventOrder(t *testing.T) {
 	}
 }
 
-// requireDeadlock runs body on two ranks, first on one engine and then
-// on a two-shard group, and demands ErrDeadlock with exactly blocked
-// parked waiters each time.
+// requireDeadlock runs body on two ranks, first on a one-shard group
+// and then on a two-shard one, and demands ErrDeadlock with exactly
+// blocked parked waiters each time.
 func requireDeadlock(t *testing.T, blocked int, body func(p *sim.Proc, r *Rank)) {
 	t.Helper()
 	want := fmt.Sprintf("(%d blocked)", blocked)
-
-	e, w := testWorld(2, nil)
-	w.SpawnRanks(body)
-	_, err := e.Run(0)
-	if !errors.Is(err, sim.ErrDeadlock) || !strings.Contains(err.Error(), want) {
-		t.Errorf("Engine.Run: err = %v, want ErrDeadlock %s", err, want)
-	}
-	if e.Blocked() != blocked {
-		t.Errorf("Engine.Blocked = %d, want %d", e.Blocked(), blocked)
-	}
-	e.Close()
-
-	g := sim.NewGroup(2, netsim.Default100Mb().Latency)
-	defer g.Close()
-	nodes := []*machine.Node{
-		machine.NewNode(g.Engine(0), 0, machine.DefaultParams()),
-		machine.NewNode(g.Engine(1), 1, machine.DefaultParams()),
-	}
-	gw := NewWorldOn(g, nodes, netsim.New(g.Engine(0), 2, netsim.Default100Mb()), DefaultConfig())
-	gw.SpawnRanks(body)
-	_, err = g.Run(0)
-	if !errors.Is(err, sim.ErrDeadlock) || !strings.Contains(err.Error(), want) {
-		t.Errorf("Group.Run: err = %v, want ErrDeadlock %s", err, want)
+	for _, k := range []int{1, 2} {
+		g, w := shardedWorld(k, 2, nil)
+		w.SpawnRanks(body)
+		_, err := g.Run(0)
+		if !errors.Is(err, sim.ErrDeadlock) || !strings.Contains(err.Error(), want) {
+			t.Errorf("K=%d: err = %v, want ErrDeadlock %s", k, err, want)
+		}
+		n := 0
+		for i := 0; i < g.Size(); i++ {
+			n += g.Engine(i).Blocked()
+		}
+		if n != blocked {
+			t.Errorf("K=%d: Blocked = %d, want %d", k, n, blocked)
+		}
+		g.Close()
 	}
 }
 

@@ -83,49 +83,48 @@ func DefaultConfig() Config {
 }
 
 // World is a communicator spanning one rank per node. Each rank lives
-// on its node's engine; when the nodes are partitioned across the
-// shards of a sim.Group, cross-shard deliveries travel through the
-// group's inboxes with a shard-count-invariant (source, sequence)
-// arrival key, so a sharded run is byte-identical to a sequential one.
+// on its node's engine, one of the shards of a sim.Group; cross-shard
+// deliveries travel through the group's inboxes with a
+// shard-count-invariant (source, sequence) arrival key, so a sharded
+// run is byte-identical to a one-shard one.
 type World struct {
-	group *sim.Group // nil when every rank shares one engine
+	group *sim.Group // the group whose shards host the ranks
 	sw    netsim.Fabric
 	cfg   Config
 	ranks []*Rank
 	xseq  []uint64 // per-source-rank arrival sequence (claimed on the source shard)
-	shard []int    // rank -> shard index; nil when group is nil
+	shard []int    // rank -> shard index
 
 	nextCommSlot int // next sub-communicator tag-space slot (1-based)
 }
 
-// NewWorld builds a world with one rank bound to each node, all of them
-// on the single engine eng. The fabric must have at least as many ports
-// as nodes (rank i uses port i).
-func NewWorld(eng *sim.Engine, nodes []*machine.Node, sw netsim.Fabric, cfg Config) *World {
-	for _, n := range nodes {
-		if n.Engine() != eng {
-			panic("mpi: node not on the world's engine") //lint:allow panicfree (models MPI_Abort; rank/tag/count errors abort the MPI job)
-		}
-	}
-	return newWorld(nil, nil, nodes, sw, cfg)
-}
-
-// NewWorldOn builds a world whose nodes are partitioned across the
-// shards of g: rank i runs on nodes[i].Engine(), which must be one of
-// the group's shard engines. Message delivery between ranks on
-// different shards is routed through the group; the fabric's MinLatency
-// must be at least the group's lookahead for the conservative window to
-// be sound.
+// NewWorldOn builds a world with one rank bound to each node, the nodes
+// partitioned across the shards of g: rank i runs on nodes[i].Engine(),
+// which must be one of the group's shard engines. Message delivery
+// between ranks on different shards is routed through the group; the
+// fabric's MinLatency must be at least the group's lookahead for the
+// conservative window to be sound. The fabric must have at least as
+// many ports as nodes (rank i uses port i).
 func NewWorldOn(g *sim.Group, nodes []*machine.Node, sw netsim.Fabric, cfg Config) *World {
-	if g == nil {
-		panic("mpi: NewWorldOn needs a group") //lint:allow panicfree (models MPI_Abort; rank/tag/count errors abort the MPI job)
+	if len(nodes) == 0 {
+		panic("mpi: empty world") //lint:allow panicfree (models MPI_Abort; rank/tag/count errors abort the MPI job)
+	}
+	if sw.Ports() < len(nodes) {
+		panic(fmt.Sprintf("mpi: %d nodes but only %d switch ports", len(nodes), sw.Ports())) //lint:allow panicfree (models MPI_Abort; rank/tag/count errors abort the MPI job)
 	}
 	if g.Size() > 1 && sw.MinLatency() < g.Lookahead() {
 		// A single-shard group never crosses a shard boundary, so the
 		// lookahead only paces windows and any fabric is safe.
 		panic("mpi: fabric minimum latency below group lookahead") //lint:allow panicfree (models MPI_Abort; rank/tag/count errors abort the MPI job)
 	}
-	shard := make([]int, len(nodes))
+	w := &World{
+		group:        g,
+		sw:           sw,
+		cfg:          cfg,
+		xseq:         make([]uint64, len(nodes)),
+		shard:        make([]int, len(nodes)),
+		nextCommSlot: 1,
+	}
 	for i, n := range nodes {
 		s := -1
 		for j := 0; j < g.Size(); j++ {
@@ -137,27 +136,7 @@ func NewWorldOn(g *sim.Group, nodes []*machine.Node, sw netsim.Fabric, cfg Confi
 		if s < 0 {
 			panic(fmt.Sprintf("mpi: node %d not on a group shard", i)) //lint:allow panicfree (models MPI_Abort; rank/tag/count errors abort the MPI job)
 		}
-		shard[i] = s
-	}
-	return newWorld(g, shard, nodes, sw, cfg)
-}
-
-func newWorld(g *sim.Group, shard []int, nodes []*machine.Node, sw netsim.Fabric, cfg Config) *World {
-	if len(nodes) == 0 {
-		panic("mpi: empty world") //lint:allow panicfree (models MPI_Abort; rank/tag/count errors abort the MPI job)
-	}
-	if sw.Ports() < len(nodes) {
-		panic(fmt.Sprintf("mpi: %d nodes but only %d switch ports", len(nodes), sw.Ports())) //lint:allow panicfree (models MPI_Abort; rank/tag/count errors abort the MPI job)
-	}
-	w := &World{
-		group:        g,
-		sw:           sw,
-		cfg:          cfg,
-		xseq:         make([]uint64, len(nodes)),
-		shard:        shard,
-		nextCommSlot: 1,
-	}
-	for i, n := range nodes {
+		w.shard[i] = s
 		w.ranks = append(w.ranks, &Rank{
 			w:          w,
 			id:         i,
@@ -204,7 +183,7 @@ func (w *World) SpawnRanks(body func(p *sim.Proc, r *Rank)) []*sim.Proc {
 //lint:ownedby rank dst
 func (w *World) post(src, dst int, t sim.Time, fn func()) {
 	w.xseq[src]++
-	if w.group != nil && w.shard[src] != w.shard[dst] {
+	if w.shard[src] != w.shard[dst] {
 		w.group.Post(w.shard[dst], t, src, w.xseq[src], fn)
 		return
 	}

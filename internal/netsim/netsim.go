@@ -159,7 +159,7 @@ func (s *Switch) Accept(src, dst int, size int64, arrive sim.Time) (deliver sim.
 // Transfer books a whole message from port src to port dst starting no
 // earlier than the engine clock, and returns the interval it occupies:
 // start (when the first byte leaves the sender) and deliver (when the
-// last byte arrives at the receiver). It is the single-engine
+// last byte arrives at the receiver). It is the single-shard
 // convenience form of Send followed immediately by Accept; sharded
 // callers split the two stages across the owning shards instead.
 func (s *Switch) Transfer(src, dst int, size int64) (start, deliver sim.Time) {

@@ -7,13 +7,21 @@ import (
 	"repro/internal/sim"
 )
 
-func newSwitch(ports int) (*sim.Engine, *Switch) {
-	e := sim.NewEngine()
-	return e, New(e, ports, Config{BandwidthBytesPerSec: 1e6, Latency: 50 * sim.Microsecond})
+// oneShard returns a fresh one-shard group and its engine, closed when
+// the test ends.
+func oneShard(t *testing.T) (*sim.Group, *sim.Engine) {
+	g := sim.NewGroup(1, sim.Microsecond)
+	t.Cleanup(g.Close)
+	return g, g.Engine(0)
+}
+
+func newSwitch(t *testing.T, ports int) (*sim.Group, *Switch) {
+	g, e := oneShard(t)
+	return g, New(e, ports, Config{BandwidthBytesPerSec: 1e6, Latency: 50 * sim.Microsecond})
 }
 
 func TestSerializationTime(t *testing.T) {
-	_, s := newSwitch(2)
+	_, s := newSwitch(t, 2)
 	if got := s.SerializationTime(1_000_000); got != sim.Second {
 		t.Fatalf("1MB at 1MB/s = %v", got)
 	}
@@ -26,7 +34,7 @@ func TestSerializationTime(t *testing.T) {
 }
 
 func TestSingleTransfer(t *testing.T) {
-	_, s := newSwitch(2)
+	_, s := newSwitch(t, 2)
 	start, deliver := s.Transfer(0, 1, 500_000) // 0.5s serialization
 	if start != 0 {
 		t.Fatalf("start = %v", start)
@@ -38,7 +46,7 @@ func TestSingleTransfer(t *testing.T) {
 }
 
 func TestBackToBackSendsSerializeOnTxLink(t *testing.T) {
-	_, s := newSwitch(3)
+	_, s := newSwitch(t, 3)
 	_, d1 := s.Transfer(0, 1, 1_000_000)
 	start2, d2 := s.Transfer(0, 2, 1_000_000)
 	// Second message waits for the first to leave the sender's link.
@@ -51,7 +59,7 @@ func TestBackToBackSendsSerializeOnTxLink(t *testing.T) {
 }
 
 func TestFanInSerializesOnRxLink(t *testing.T) {
-	_, s := newSwitch(3)
+	_, s := newSwitch(t, 3)
 	_, d1 := s.Transfer(1, 0, 1_000_000)
 	start2, d2 := s.Transfer(2, 0, 1_000_000)
 	// Different senders, same receiver: the receive link is the
@@ -65,7 +73,7 @@ func TestFanInSerializesOnRxLink(t *testing.T) {
 }
 
 func TestFullDuplexIndependence(t *testing.T) {
-	_, s := newSwitch(2)
+	_, s := newSwitch(t, 2)
 	_, d1 := s.Transfer(0, 1, 1_000_000)
 	_, d2 := s.Transfer(1, 0, 1_000_000)
 	// Opposite directions share no link: both complete at the same time.
@@ -75,7 +83,7 @@ func TestFullDuplexIndependence(t *testing.T) {
 }
 
 func TestDistinctPairsDoNotInterfere(t *testing.T) {
-	_, s := newSwitch(4)
+	_, s := newSwitch(t, 4)
 	_, d1 := s.Transfer(0, 1, 1_000_000)
 	_, d2 := s.Transfer(2, 3, 1_000_000)
 	if d1 != d2 {
@@ -84,21 +92,21 @@ func TestDistinctPairsDoNotInterfere(t *testing.T) {
 }
 
 func TestTransferAfterIdleStartsNow(t *testing.T) {
-	e, s := newSwitch(2)
+	g, s := newSwitch(t, 2)
 	s.Transfer(0, 1, 1000)
-	e.Schedule(sim.Time(10*sim.Second), func() {
+	g.Engine(0).Schedule(sim.Time(10*sim.Second), func() {
 		start, _ := s.Transfer(0, 1, 1000)
 		if start != sim.Time(10*sim.Second) {
 			t.Errorf("start = %v", start)
 		}
 	})
-	if _, err := e.Run(0); err != nil {
+	if _, err := g.Run(0); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestStats(t *testing.T) {
-	_, s := newSwitch(3)
+	_, s := newSwitch(t, 3)
 	s.Transfer(0, 1, 100)
 	s.Transfer(1, 2, 200)
 	s.Transfer(0, 2, 300)
@@ -112,7 +120,7 @@ func TestStats(t *testing.T) {
 }
 
 func TestBusyUntil(t *testing.T) {
-	_, s := newSwitch(2)
+	_, s := newSwitch(t, 2)
 	_, deliver := s.Transfer(0, 1, 1_000_000)
 	if s.TxBusyUntil(0) != sim.Time(sim.Second) {
 		t.Fatalf("tx busy until %v", s.TxBusyUntil(0))
@@ -123,7 +131,8 @@ func TestBusyUntil(t *testing.T) {
 }
 
 func TestPanics(t *testing.T) {
-	e, s := newSwitch(2)
+	g, s := newSwitch(t, 2)
+	e := g.Engine(0)
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
 		defer func() {
@@ -160,7 +169,7 @@ func TestTransferInvariants(t *testing.T) {
 		if len(ops) > 60 {
 			ops = ops[:60]
 		}
-		e := sim.NewEngine()
+		_, e := oneShard(t)
 		s := New(e, 4, Config{BandwidthBytesPerSec: 1e6, Latency: 10 * sim.Microsecond})
 		lastDeliver := make(map[[2]int]sim.Time)
 		ok := true
@@ -193,7 +202,7 @@ func TestTransferInvariants(t *testing.T) {
 }
 
 func TestControlBypassesLinkOccupancy(t *testing.T) {
-	_, s := newSwitch(2)
+	_, s := newSwitch(t, 2)
 	// Saturate the 0→1 direction with bulk data.
 	_, bulkDeliver := s.Transfer(0, 1, 10_000_000) // 10s serialization
 	// A control message in the same direction is not queued behind it.
@@ -216,7 +225,7 @@ func TestControlBypassesLinkOccupancy(t *testing.T) {
 }
 
 func TestControlValidation(t *testing.T) {
-	_, s := newSwitch(2)
+	_, s := newSwitch(t, 2)
 	for _, fn := range []func(){
 		func() { s.Control(0, 0, 8, 0) },
 		func() { s.Control(0, 9, 8, 0) },

@@ -178,7 +178,7 @@ func (t *Tree) Accept(src, dst int, size int64, arrive sim.Time) (deliver sim.Ti
 }
 
 // Transfer books a whole message at the engine clock: Send followed
-// immediately by Accept, the single-engine convenience form.
+// immediately by Accept, the single-shard convenience form.
 func (t *Tree) Transfer(src, dst int, size int64) (start, deliver sim.Time) {
 	start, arrive := t.Send(src, dst, size, t.eng.Now())
 	deliver = t.Accept(src, dst, size, arrive)

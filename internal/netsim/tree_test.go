@@ -6,9 +6,9 @@ import (
 	"repro/internal/sim"
 )
 
-func newTree(ports, perEdge int) (*sim.Engine, *Tree) {
-	e := sim.NewEngine()
-	return e, NewTree(e, ports, TreeConfig{
+func newTree(t *testing.T, ports, perEdge int) *Tree {
+	_, e := oneShard(t)
+	return NewTree(e, ports, TreeConfig{
 		Host:                       Config{BandwidthBytesPerSec: 1e6, Latency: 50 * sim.Microsecond},
 		PortsPerEdge:               perEdge,
 		UplinkBandwidthBytesPerSec: 2e6, // 2:1 host oversubscription at 4 ports/edge
@@ -17,7 +17,7 @@ func newTree(ports, perEdge int) (*sim.Engine, *Tree) {
 }
 
 func TestTreeTopology(t *testing.T) {
-	_, tr := newTree(8, 4)
+	tr := newTree(t, 8, 4)
 	if tr.Ports() != 8 || tr.Edges() != 2 {
 		t.Fatalf("ports=%d edges=%d", tr.Ports(), tr.Edges())
 	}
@@ -27,7 +27,7 @@ func TestTreeTopology(t *testing.T) {
 }
 
 func TestTreeIntraEdgeMatchesSwitch(t *testing.T) {
-	_, tr := newTree(8, 4)
+	tr := newTree(t, 8, 4)
 	start, deliver := tr.Transfer(0, 1, 500_000)
 	if start != 0 {
 		t.Fatalf("start %v", start)
@@ -39,7 +39,7 @@ func TestTreeIntraEdgeMatchesSwitch(t *testing.T) {
 }
 
 func TestTreeInterEdgeAddsCoreLatency(t *testing.T) {
-	_, tr := newTree(8, 4)
+	tr := newTree(t, 8, 4)
 	_, deliver := tr.Transfer(0, 4, 500_000)
 	// Host serialization dominates (uplink is faster); latency is two
 	// edge hops plus the core.
@@ -50,7 +50,7 @@ func TestTreeInterEdgeAddsCoreLatency(t *testing.T) {
 }
 
 func TestTreeUplinkContention(t *testing.T) {
-	_, tr := newTree(8, 4)
+	tr := newTree(t, 8, 4)
 	// Three hosts on edge 0 send cross-edge simultaneously: their
 	// host links are distinct but they share one 2 MB/s uplink, so the
 	// third transfer's delivery is pushed out by uplink serialization.
@@ -74,7 +74,7 @@ func TestTreeUplinkContention(t *testing.T) {
 }
 
 func TestTreeSlowUplinkIsBottleneck(t *testing.T) {
-	e := sim.NewEngine()
+	_, e := oneShard(t)
 	tr := NewTree(e, 8, TreeConfig{
 		Host:                       Config{BandwidthBytesPerSec: 1e6, Latency: 50 * sim.Microsecond},
 		PortsPerEdge:               4,
@@ -90,7 +90,7 @@ func TestTreeSlowUplinkIsBottleneck(t *testing.T) {
 }
 
 func TestTreeControlPath(t *testing.T) {
-	_, tr := newTree(8, 4)
+	tr := newTree(t, 8, 4)
 	intra := tr.Control(0, 1, 64, 0)
 	inter := tr.Control(0, 4, 64, 0)
 	if inter <= intra {
@@ -103,7 +103,7 @@ func TestTreeControlPath(t *testing.T) {
 }
 
 func TestTreeValidation(t *testing.T) {
-	e := sim.NewEngine()
+	_, e := oneShard(t)
 	good := TreeConfig{
 		Host:                       Config{BandwidthBytesPerSec: 1e6, Latency: 1},
 		PortsPerEdge:               2,
@@ -143,7 +143,7 @@ func TestTreeValidation(t *testing.T) {
 }
 
 func TestFabricInterfaceCompliance(t *testing.T) {
-	e := sim.NewEngine()
+	_, e := oneShard(t)
 	var f Fabric = New(e, 2, Default100Mb())
 	if f.Ports() != 2 {
 		t.Fatal("switch as fabric")

@@ -8,24 +8,32 @@ import (
 	"repro/internal/sim"
 )
 
-func newCtx(t *testing.T, policy RegionPolicy) (*sim.Engine, *machine.Node, *Profiler, *NodeCtx) {
-	t.Helper()
-	e := sim.NewEngine()
-	n := machine.NewNode(e, 0, machine.DefaultParams())
-	prof := NewProfiler()
-	return e, n, prof, NewNodeCtx(n, prof, policy)
+// oneShard returns a fresh one-shard group and its engine, closed when
+// the test ends.
+func oneShard(t *testing.T) (*sim.Group, *sim.Engine) {
+	g := sim.NewGroup(1, sim.Second)
+	t.Cleanup(g.Close)
+	return g, g.Engine(0)
 }
 
-func mustRun(t *testing.T, e *sim.Engine) {
+func newCtx(t *testing.T, policy RegionPolicy) (*sim.Group, *machine.Node, *Profiler, *NodeCtx) {
 	t.Helper()
-	if _, err := e.Run(0); err != nil {
+	g, e := oneShard(t)
+	n := machine.NewNode(e, 0, machine.DefaultParams())
+	prof := NewProfiler()
+	return g, n, prof, NewNodeCtx(n, prof, policy)
+}
+
+func mustRun(t *testing.T, g *sim.Group) {
+	t.Helper()
+	if _, err := g.Run(0); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRegionProfileAccumulates(t *testing.T) {
-	e, n, _, ctx := newCtx(t, nil)
-	e.Spawn("app", func(p *sim.Proc) {
+	g, n, _, ctx := newCtx(t, nil)
+	g.Engine(0).Spawn("app", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
 			ctx.EnterRegion(p, "fft")
 			n.Compute(p, 1.4e8) // ~100ms
@@ -33,7 +41,7 @@ func TestRegionProfileAccumulates(t *testing.T) {
 			n.IdleFor(p, 50*sim.Millisecond)
 		}
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	rp := ctx.Profile("fft")
 	if rp == nil {
 		t.Fatal("no profile")
@@ -57,8 +65,8 @@ func TestRegionProfileAccumulates(t *testing.T) {
 }
 
 func TestRegionNesting(t *testing.T) {
-	e, n, _, ctx := newCtx(t, nil)
-	e.Spawn("app", func(p *sim.Proc) {
+	g, n, _, ctx := newCtx(t, nil)
+	g.Engine(0).Spawn("app", func(p *sim.Proc) {
 		ctx.EnterRegion(p, "outer")
 		n.Compute(p, 1e7)
 		ctx.EnterRegion(p, "inner")
@@ -67,7 +75,7 @@ func TestRegionNesting(t *testing.T) {
 		n.Compute(p, 1e7)
 		ctx.ExitRegion(p, "outer")
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	outer, inner := ctx.Profile("outer"), ctx.Profile("inner")
 	if outer == nil || inner == nil {
 		t.Fatal("missing profiles")
@@ -78,8 +86,8 @@ func TestRegionNesting(t *testing.T) {
 }
 
 func TestMismatchedExitPanics(t *testing.T) {
-	e, _, _, ctx := newCtx(t, nil)
-	e.Spawn("app", func(p *sim.Proc) {
+	g, _, _, ctx := newCtx(t, nil)
+	g.Engine(0).Spawn("app", func(p *sim.Proc) {
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic")
@@ -88,12 +96,12 @@ func TestMismatchedExitPanics(t *testing.T) {
 		ctx.EnterRegion(p, "a")
 		ctx.ExitRegion(p, "b")
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 }
 
 func TestExitWithoutEnterPanics(t *testing.T) {
-	e, _, _, ctx := newCtx(t, nil)
-	e.Spawn("app", func(p *sim.Proc) {
+	g, _, _, ctx := newCtx(t, nil)
+	g.Engine(0).Spawn("app", func(p *sim.Proc) {
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic")
@@ -101,11 +109,11 @@ func TestExitWithoutEnterPanics(t *testing.T) {
 		}()
 		ctx.ExitRegion(p, "nope")
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 }
 
 func TestTimelineAlignment(t *testing.T) {
-	e := sim.NewEngine()
+	g, e := oneShard(t)
 	prof := NewProfiler()
 	var ctxs []*NodeCtx
 	for i := 0; i < 3; i++ {
@@ -118,7 +126,7 @@ func TestTimelineAlignment(t *testing.T) {
 			ctx.Mark("hello")
 		})
 	}
-	mustRun(t, e)
+	mustRun(t, g)
 	tl := prof.Timeline()
 	if len(tl) != 3 {
 		t.Fatalf("%d events", len(tl))
@@ -150,25 +158,25 @@ func (r *recordingPolicy) OnExit(p *sim.Proc, n *machine.Node, region string) {
 
 func TestPolicyHooksFire(t *testing.T) {
 	pol := &recordingPolicy{}
-	e, n, _, ctx := newCtx(t, pol)
-	e.Spawn("app", func(p *sim.Proc) {
+	g, n, _, ctx := newCtx(t, pol)
+	g.Engine(0).Spawn("app", func(p *sim.Proc) {
 		ctx.EnterRegion(p, "fft")
 		n.Compute(p, 1e6)
 		ctx.ExitRegion(p, "fft")
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	if len(pol.calls) != 2 || pol.calls[0] != "enter:fft" || pol.calls[1] != "exit:fft" {
 		t.Fatalf("calls = %v", pol.calls)
 	}
 }
 
 func TestSetFrequencyIndexLogsAndSwitches(t *testing.T) {
-	e, n, prof, ctx := newCtx(t, nil)
-	e.Spawn("app", func(p *sim.Proc) {
+	g, n, prof, ctx := newCtx(t, nil)
+	g.Engine(0).Spawn("app", func(p *sim.Proc) {
 		ctx.SetFrequencyIndex(p, 4)
 		ctx.SetFrequencyIndex(p, 4) // no-op, not logged
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	if n.OPIndex() != 4 {
 		t.Fatal("frequency not applied")
 	}
@@ -187,7 +195,7 @@ func TestSetFrequencyIndexLogsAndSwitches(t *testing.T) {
 }
 
 func TestMergeProfiles(t *testing.T) {
-	e := sim.NewEngine()
+	g, e := oneShard(t)
 	prof := NewProfiler()
 	var ctxs []*NodeCtx
 	for i := 0; i < 2; i++ {
@@ -200,7 +208,7 @@ func TestMergeProfiles(t *testing.T) {
 			ctx.ExitRegion(p, "work")
 		})
 	}
-	mustRun(t, e)
+	mustRun(t, g)
 	merged := MergeProfiles(ctxs, "work")
 	if merged.Count != 2 {
 		t.Fatalf("count = %d", merged.Count)
@@ -228,9 +236,9 @@ func TestEventKindStrings(t *testing.T) {
 }
 
 func TestEventsReturnsCopy(t *testing.T) {
-	e, _, prof, ctx := newCtx(t, nil)
-	e.Spawn("app", func(p *sim.Proc) { ctx.Mark("x") })
-	mustRun(t, e)
+	g, _, prof, ctx := newCtx(t, nil)
+	g.Engine(0).Spawn("app", func(p *sim.Proc) { ctx.Mark("x") })
+	mustRun(t, g)
 	evs := prof.Events()
 	evs[0].Label = "mutated"
 	if prof.Events()[0].Label != "x" {
@@ -239,11 +247,11 @@ func TestEventsReturnsCopy(t *testing.T) {
 }
 
 func TestNodeCtxAccessorsAndProfiles(t *testing.T) {
-	e, n, _, ctx := newCtx(t, nil)
+	g, n, _, ctx := newCtx(t, nil)
 	if ctx.Node() != n {
 		t.Fatal("Node accessor")
 	}
-	e.Spawn("app", func(p *sim.Proc) {
+	g.Engine(0).Spawn("app", func(p *sim.Proc) {
 		ctx.EnterRegion(p, "b")
 		n.Compute(p, 1e6)
 		ctx.ExitRegion(p, "b")
@@ -251,7 +259,7 @@ func TestNodeCtxAccessorsAndProfiles(t *testing.T) {
 		n.Compute(p, 1e6)
 		ctx.ExitRegion(p, "a")
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	ps := ctx.Profiles()
 	if len(ps) != 2 || ps[0].Region != "a" || ps[1].Region != "b" {
 		t.Fatalf("Profiles not sorted: %+v", ps)
@@ -262,14 +270,14 @@ func TestNodeCtxAccessorsAndProfiles(t *testing.T) {
 }
 
 func TestProfilerWriteCSV(t *testing.T) {
-	e, n, prof, ctx := newCtx(t, nil)
-	e.Spawn("app", func(p *sim.Proc) {
+	g, n, prof, ctx := newCtx(t, nil)
+	g.Engine(0).Spawn("app", func(p *sim.Proc) {
 		ctx.EnterRegion(p, "fft")
 		n.Compute(p, 1e7)
 		ctx.ExitRegion(p, "fft")
 		ctx.Mark("done")
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	var sb strings.Builder
 	if err := prof.WriteCSV(&sb); err != nil {
 		t.Fatal(err)

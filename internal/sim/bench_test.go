@@ -12,8 +12,7 @@ import "testing"
 // callback events: one pending event at a time, b.N rounds.
 func BenchmarkSchedule(b *testing.B) {
 	b.ReportAllocs()
-	e := NewEngine()
-	defer e.Close()
+	g, e := oneShard(b)
 	var tick func()
 	n := 0
 	tick = func() {
@@ -24,7 +23,7 @@ func BenchmarkSchedule(b *testing.B) {
 	}
 	b.ResetTimer()
 	e.After(Microsecond, tick)
-	if _, err := e.Run(0); err != nil {
+	if _, err := g.Run(0); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -34,15 +33,14 @@ func BenchmarkSchedule(b *testing.B) {
 // allocation-free evWake event each iteration.
 func BenchmarkSleepWake(b *testing.B) {
 	b.ReportAllocs()
-	e := NewEngine()
-	defer e.Close()
+	g, e := oneShard(b)
 	e.Spawn("sleeper", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			p.Sleep(Microsecond)
 		}
 	})
 	b.ResetTimer()
-	if _, err := e.Run(0); err != nil {
+	if _, err := g.Run(0); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -56,8 +54,7 @@ func BenchmarkSleepWake(b *testing.B) {
 // kernel — and would keep the exact B/op gate off zero).
 func BenchmarkCondPingPong(b *testing.B) {
 	b.ReportAllocs()
-	e := NewEngine()
-	defer e.Close()
+	g, e := oneShard(b)
 	ping, pong := NewCond(e), NewCond(e)
 	token := new(int)
 	// pong is spawned first so it is already parked on its Cond when
@@ -76,7 +73,7 @@ func BenchmarkCondPingPong(b *testing.B) {
 		}
 	})
 	b.ResetTimer()
-	if _, err := e.Run(0); err != nil {
+	if _, err := g.Run(0); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -88,8 +85,7 @@ func BenchmarkCondPingPong(b *testing.B) {
 // zero-alloc measurement.
 func BenchmarkMailbox(b *testing.B) {
 	b.ReportAllocs()
-	e := NewEngine()
-	defer e.Close()
+	g, e := oneShard(b)
 	mb := NewMailbox(e)
 	msg := new(int)
 	e.Spawn("producer", func(p *Proc) {
@@ -105,7 +101,7 @@ func BenchmarkMailbox(b *testing.B) {
 		}
 	})
 	b.ResetTimer()
-	if _, err := e.Run(0); err != nil {
+	if _, err := g.Run(0); err != nil {
 		b.Fatal(err)
 	}
 }

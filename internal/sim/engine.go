@@ -5,15 +5,17 @@ import (
 	"fmt"
 )
 
-// ErrDeadlock is returned by Run when the event queue drains while
+// ErrDeadlock is returned by Group.Run when every queue drains while
 // simulated processes (or callback waiters) are still blocked on
-// conditions, mailboxes, or resources that nothing will ever signal.
+// conditions or mailboxes that nothing will ever signal.
 var ErrDeadlock = errors.New("sim: deadlock: no pending events but processes remain blocked")
 
-// Engine owns the virtual clock and the event queue, and schedules
-// simulated processes. It is not safe for concurrent use from multiple
-// goroutines: all interaction must happen either before Run, from inside
-// process bodies, or from event callbacks.
+// Engine owns one shard's virtual clock and event queue, and schedules
+// its simulated processes. Engines are built and driven only by a
+// Group: obtain one with Group.Engine and advance it with Group.Run. An
+// engine is not safe for concurrent use from multiple goroutines: all
+// interaction must happen either between Group.Run calls, from inside
+// process bodies, or from event callbacks on its own shard.
 type Engine struct {
 	now     Time
 	seq     uint64
@@ -22,8 +24,8 @@ type Engine struct {
 	blocked int                // processes and Cond callback waiters currently parked
 	running bool
 	closed  bool
-	shard   int32 // index in the owning Group; a standalone engine is shard 0 of 1
-	failure error // first process panic, reported by Run
+	shard   int32 // index in the owning Group
+	failure error // first process panic, reported by RunUntil
 
 	// expiring is the sequence number of the timer entry being
 	// dispatched; see Timer.
@@ -36,8 +38,8 @@ type Engine struct {
 	park chan struct{}
 }
 
-// NewEngine returns an engine with the clock at the simulation epoch.
-func NewEngine() *Engine {
+// newEngine returns an engine with the clock at the simulation epoch.
+func newEngine() *Engine {
 	return &Engine{
 		procs: make(map[*Proc]struct{}),
 		park:  make(chan struct{}),
@@ -108,57 +110,15 @@ func (e *Engine) After(d Duration, fn func()) {
 	e.Schedule(e.now.Add(d), fn)
 }
 
-// Run executes events until the queue is empty or until limit is reached
-// (limit <= 0 means run to exhaustion). It returns the time of the last
-// executed event. If the queue drains while processes remain blocked, Run
-// returns ErrDeadlock; the blocked processes can be inspected with
-// Blocked and reaped with Close.
-//
-//lint:hotpath the dispatch loop runs once per event
-func (e *Engine) Run(limit Time) (Time, error) {
-	if e.closed {
-		return e.now, errors.New("sim: engine is closed")
-	}
-	if e.running {
-		return e.now, errors.New("sim: Run called reentrantly")
-	}
-	e.running = true
-	defer func() { e.running = false }() //lint:allow hotalloc (one closure per Run call, not per event)
-
-	for e.queue.Len() > 0 {
-		if limit > 0 && e.queue.peek().t > limit {
-			e.now = limit
-			return e.now, nil
-		}
-		ev := e.queue.pop()
-		if ev.t > e.now {
-			e.now = ev.t
-		}
-		e.events++
-		if ev.kind == evCall { // fast path: no dispatch call for plain events
-			ev.fn()
-		} else {
-			e.dispatch(&ev)
-		}
-		if e.failure != nil {
-			return e.now, e.failure
-		}
-	}
-	if e.blocked > 0 {
-		return e.now, fmt.Errorf("%w (%d blocked)", ErrDeadlock, e.blocked) //lint:allow hotalloc (deadlock exit path, runs at most once per Run)
-	}
-	return e.now, nil
-}
-
 // RunUntil executes every event strictly before horizon h and returns.
 // It is the shard-side half of a Group window: the coordinator picks h
 // so that no other shard can inject an arrival earlier than h, and each
 // shard drains its queue up to (not including) h with exclusive access
-// to its own state. Unlike Run it performs no deadlock check — with
-// multiple shards only the Group can tell whether a blocked process
-// might still be woken by a message from elsewhere — and it leaves the
-// clock at the last executed event; the Group advances all clocks to
-// the common horizon at the barrier.
+// to its own state. It performs no deadlock check — only the Group can
+// tell whether a blocked process might still be woken by a message
+// from another shard — and it leaves the clock at the last executed
+// event; the Group moves clocks further only before coordinator
+// globals, when parking at a limit, and when the run ends.
 //
 //lint:hotpath the sharded dispatch loop runs once per event
 func (e *Engine) RunUntil(h Time) error {
@@ -199,7 +159,8 @@ func (e *Engine) NextEventTime() (Time, bool) {
 }
 
 // AdvanceTo moves the clock forward to t without executing anything.
-// The Group uses it at window barriers so that between-window reads
+// The Group uses it before coordinator globals, when it parks at a run
+// limit, and when a run ends, so that reads outside shard events
 // (utilization extrapolation, energy integration) see a consistent
 // "now" on every shard. Moving backwards is a no-op.
 func (e *Engine) AdvanceTo(t Time) {
@@ -260,7 +221,8 @@ func (e *Engine) Counters() Counters {
 
 // Blocked reports how many waiters — live processes parked on a
 // primitive, and callback waiters queued on a Cond — have nothing
-// scheduled to wake them right now. It is meaningful after Run returns.
+// scheduled to wake them right now. It is meaningful after Group.Run
+// returns; a deadlocked run reports the sum over its shards.
 func (e *Engine) Blocked() int { return e.blocked }
 
 // Live reports the number of processes that have been spawned and have

@@ -8,7 +8,9 @@ import (
 
 // Two processes coordinate through a mailbox on the virtual clock.
 func Example() {
-	e := sim.NewEngine()
+	g := sim.NewGroup(1, sim.Second)
+	defer g.Close()
+	e := g.Engine(0)
 	box := sim.NewMailbox(e)
 
 	e.Spawn("producer", func(p *sim.Proc) {
@@ -24,7 +26,7 @@ func Example() {
 		}
 	})
 
-	end, err := e.Run(0)
+	end, err := g.Run(0)
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -35,26 +37,4 @@ func Example() {
 	// got 2 at 0.020000s
 	// got 3 at 0.030000s
 	// done at 0.030000s
-}
-
-// A counted resource serializes contending processes in FIFO order.
-func ExampleResource() {
-	e := sim.NewEngine()
-	link := sim.NewResource(e, 1)
-	for i := 0; i < 3; i++ {
-		i := i
-		e.Spawn(fmt.Sprintf("sender%d", i), func(p *sim.Proc) {
-			link.Acquire(p, 1)
-			fmt.Printf("sender%d on the wire at %v\n", i, p.Now())
-			p.Sleep(5 * sim.Millisecond)
-			link.Release(1)
-		})
-	}
-	if _, err := e.Run(0); err != nil {
-		fmt.Println(err)
-	}
-	// Output:
-	// sender0 on the wire at 0.000000s
-	// sender1 on the wire at 0.005000s
-	// sender2 on the wire at 0.010000s
 }

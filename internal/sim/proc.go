@@ -71,9 +71,9 @@ func (p *Proc) run(fn func(p *Proc)) {
 	}
 	defer func() {
 		if r := recover(); r != nil && r != errKilled { //nolint:errorlint // sentinel identity
-			// Record user panics on the engine so Run reports them as an
-			// error on the caller's goroutine instead of crashing this
-			// detached one.
+			// Record user panics on the engine so Group.Run reports
+			// them as an error on the caller's goroutine instead of
+			// crashing this detached one.
 			if p.eng.failure == nil {
 				p.eng.failure = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
 			}
@@ -97,7 +97,7 @@ func (p *Proc) finish() {
 // yield parks the calling process until a wake is delivered, then returns
 // the value the waker attached. counted reports whether the process
 // should be considered "blocked with no scheduled wake" for deadlock
-// accounting (true for conditions/mailboxes/resources, false for Sleep,
+// accounting (true for conditions and mailboxes, false for Sleep,
 // whose wake event is already queued).
 func (p *Proc) yield(counted bool) any {
 	if p.state != procRunning {

@@ -102,7 +102,7 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-func (h *eventHeap) peek() event { return h.items[0] }
+func (h *eventHeap) peek() *event { return &h.items[0] }
 
 func (h *eventHeap) siftDown(i int) {
 	n := len(h.items)

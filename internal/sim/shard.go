@@ -16,7 +16,9 @@ package sim
 // priority that totally orders them regardless of drain order, so the
 // same simulation produces byte-identical results at any shard count,
 // including K=1 (which runs the identical windowed protocol inline,
-// without worker goroutines).
+// without worker goroutines). The Group is the only event loop: a
+// sequential simulation is a one-shard group, whose lookahead only
+// paces the windows.
 
 import (
 	"errors"
@@ -89,7 +91,7 @@ func NewGroup(shards int, look Duration) *Group {
 		inboxes: make([]inbox, shards),
 	}
 	for i := range g.engines {
-		g.engines[i] = NewEngine()
+		g.engines[i] = newEngine()
 		g.engines[i].shard = int32(i)
 	}
 	return g
@@ -105,7 +107,9 @@ func (g *Group) Engine(i int) *Engine { return g.engines[i] }
 func (g *Group) Lookahead() Duration { return g.look }
 
 // Now reports the group horizon: every shard has executed all events
-// strictly before this time.
+// strictly before this time. After a Run that drained its queues it is
+// the time of the last executed event; after one that parked at its
+// limit, the limit.
 func (g *Group) Now() Time { return g.horizon }
 
 // Post delivers a cross-shard event: fn runs on shard's engine at time
@@ -144,16 +148,16 @@ func (g *Group) ScheduleGlobal(t Time, pri uint64, fn func()) {
 
 // drain moves every parked arrival into its shard's event heap. Called
 // only between windows, so the inbox mutexes are uncontended. The
-// lookahead contract is re-checked here, where the full window context
-// is in hand: a violation names the shard, the offending event time,
-// the window horizon, and the group lookahead, instead of the bare
-// past-time panic the engine itself would raise.
+// lookahead contract is checked here against the window horizon, where
+// the full window context is in hand: a violation names the shard, the
+// offending event time, the horizon, and the group lookahead, instead
+// of the bare past-time panic the engine itself would raise.
 func (g *Group) drain() {
 	for i := range g.inboxes {
 		in := &g.inboxes[i]
 		in.mu.Lock()
 		for _, a := range in.evs {
-			if a.t < g.engines[i].Now() {
+			if a.t < g.horizon {
 				g.lookaheadPanic(i, a)
 			}
 			g.engines[i].PostArrival(a.t, a.src, a.seq, a.fn)
@@ -163,12 +167,12 @@ func (g *Group) drain() {
 	}
 }
 
-// lookaheadPanic reports a drained arrival that lands before its
-// shard's clock, with the full window context. Kept as a panic-only
-// helper so drain stays allocation-free on the hot coordinator path.
+// lookaheadPanic reports a drained arrival that lands before the window
+// horizon, with the full window context. Kept as a panic-only helper so
+// drain stays allocation-free on the hot coordinator path.
 func (g *Group) lookaheadPanic(shard int, a arrival) {
-	panic(fmt.Sprintf("sim: lookahead contract violated: arrival for shard %d at %v is before shard now %v (window horizon %v, lookahead %v, src shard %d, seq %d)", //lint:allow panicfree (simulation-kernel invariant; a broken event loop cannot continue)
-		shard, a.t, g.engines[shard].Now(), g.horizon, g.look, a.src, a.seq))
+	panic(fmt.Sprintf("sim: lookahead contract violated: arrival for shard %d at %v is before window horizon %v (shard now %v, lookahead %v, src shard %d, seq %d)", //lint:allow panicfree (simulation-kernel invariant; a broken event loop cannot continue)
+		shard, a.t, g.horizon, g.engines[shard].Now(), g.look, a.src, a.seq))
 }
 
 // minNextEvent reports the earliest pending event time across shards.
@@ -190,6 +194,7 @@ func (g *Group) blockedTotal() int {
 	return n
 }
 
+// advanceAll moves every shard clock and the horizon forward to t.
 func (g *Group) advanceAll(t Time) {
 	for _, e := range g.engines {
 		e.AdvanceTo(t)
@@ -197,6 +202,21 @@ func (g *Group) advanceAll(t Time) {
 	if t > g.horizon {
 		g.horizon = t
 	}
+}
+
+// settle ends a run whose queues have drained: every clock and the
+// horizon move to the latest shard clock, which is the time of the last
+// executed event (globals run with every clock advanced to their
+// time). The horizon may move back: it is one lookahead past the last
+// window's earliest event, and nothing runs before the next Run.
+func (g *Group) settle() Time {
+	var last Time
+	for _, e := range g.engines {
+		last = max(last, e.Now())
+	}
+	g.horizon = last
+	g.advanceAll(last)
+	return last
 }
 
 // window executes all events strictly before h on every shard that has
@@ -243,9 +263,18 @@ func (g *Group) runGlobals(t Time) {
 
 // Run advances the whole group until every shard's queue and the global
 // queue drain, or until limit is reached (limit <= 0 means run to
-// exhaustion): events at t <= limit execute, and the clocks stop at
-// limit. It returns the final horizon. If the queues drain while
-// processes remain blocked, Run returns ErrDeadlock.
+// exhaustion). Events at t <= limit execute; when later events remain,
+// every clock parks at limit and Run returns limit. When the queues
+// drain first, Run returns the time of the last event it executed,
+// shard event or global, and leaves every clock and Now there — a
+// value independent of the shard count and the lookahead. If the
+// queues drain while processes remain blocked, Run returns ErrDeadlock;
+// the blocked waiters can be counted with each engine's Blocked and
+// reaped with Close.
+//
+// Between windows only the horizon moves; shard clocks stay at their
+// last executed event until a global, a limit park, or the end of the
+// run advances them.
 //
 //lint:hotpath the coordinator loop runs once per lookahead window
 func (g *Group) Run(limit Time) (Time, error) {
@@ -264,10 +293,10 @@ func (g *Group) Run(limit Time) (Time, error) {
 		g.gmu.Unlock()
 		if !any {
 			if n := g.blockedTotal(); n > 0 {
-				return g.horizon, fmt.Errorf("%w (%d blocked)", ErrDeadlock, n) //lint:allow hotalloc (deadlock exit path, runs at most once per Run)
+				return g.settle(), fmt.Errorf("%w (%d blocked)", ErrDeadlock, n) //lint:allow hotalloc (deadlock exit path, runs at most once per Run)
 			}
 			if !anyG {
-				return g.horizon, nil
+				return g.settle(), nil
 			}
 		}
 		if limit > 0 && (!any || m > limit) && (!anyG || gt > limit) {
@@ -296,8 +325,9 @@ func (g *Group) Run(limit Time) (Time, error) {
 		if err := g.window(h); err != nil {
 			return g.horizon, err
 		}
-		g.advanceAll(h)
+		g.horizon = h
 		if runG {
+			g.advanceAll(h)
 			g.runGlobals(h)
 		}
 	}

@@ -8,12 +8,13 @@ import (
 )
 
 // pingPong runs a K-shard ping-pong chain: each of n logical ports
-// lives on shard port*K/n, sleeps, and posts to its successor one
-// lookahead ahead. It returns one delivery log per port (a port's log
-// is only appended from its own shard, so the logs are race-free and
-// their contents — unlike a cross-shard interleaving — are a
-// simulation property).
-func pingPong(shards, n, hops int, look Duration) [][]string {
+// lives on shard port*K/n and posts to its successor delay ahead, under
+// group lookahead look (at most delay). It returns one delivery log per
+// port (a port's log is only appended from its own shard, so the logs
+// are race-free and their contents — unlike a cross-shard interleaving
+// — are a simulation property), Run's result, and the clocks Run left
+// behind: every engine's Now, then the group's.
+func pingPong(shards, n, hops int, delay, look Duration) ([][]string, Time, []Time) {
 	g := NewGroup(shards, look)
 	defer g.Close()
 	shardOf := func(port int) int { return port * shards / n }
@@ -26,7 +27,7 @@ func pingPong(shards, n, hops int, look Duration) [][]string {
 			return
 		}
 		next := (port + 1) % n
-		t := e.Now().Add(look)
+		t := e.Now().Add(delay)
 		seq := uint64(depth + 1)
 		if shardOf(next) != shardOf(port) {
 			g.Post(shardOf(next), t, port, seq, func() { hop(next, depth+1) })
@@ -38,19 +39,29 @@ func pingPong(shards, n, hops int, look Duration) [][]string {
 		p := p
 		g.Engine(shardOf(p)).Schedule(Time(p)*Time(Microsecond), func() { hop(p, 0) })
 	}
-	if _, err := g.Run(0); err != nil {
+	end, err := g.Run(0)
+	if err != nil {
 		panic(err)
 	}
-	return log
+	var clocks []Time
+	for i := 0; i < g.Size(); i++ {
+		clocks = append(clocks, g.Engine(i).Now())
+	}
+	return log, end, append(clocks, g.Now())
 }
 
 // TestShardGroupCountInvariance pins the core determinism guarantee:
 // the same event program produces the identical execution log at any
 // shard count, because arrival keys — not drain order — order events.
+// It also pins Run's end contract: a run that drains its queues returns
+// the time of the last executed event and leaves every clock there, so
+// neither the shard count nor the lookahead shows in the end time.
 func TestShardGroupCountInvariance(t *testing.T) {
 	const n, hops = 8, 40
-	look := 45 * Microsecond
-	want := pingPong(1, n, hops, look)
+	delay := 45 * Microsecond
+	lastHop := Time(n-1) * Time(Microsecond)
+	lastHop = lastHop.Add(hops * delay)
+	want, _, _ := pingPong(1, n, hops, delay, delay)
 	total := 0
 	for _, l := range want {
 		total += len(l)
@@ -58,16 +69,28 @@ func TestShardGroupCountInvariance(t *testing.T) {
 	if total != n*(hops+1) {
 		t.Fatalf("logs have %d entries, want %d", total, n*(hops+1))
 	}
-	for _, k := range []int{2, 3, 4, 8} {
-		got := pingPong(k, n, hops, look)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%d shards: log differs from 1 shard\n got %v\nwant %v", k, got, want)
+	for _, look := range []Duration{delay, 15 * Microsecond} {
+		for _, k := range []int{1, 2, 3, 4, 8} {
+			got, end, clocks := pingPong(k, n, hops, delay, look)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%d shards, lookahead %v: log differs from 1 shard\n got %v\nwant %v", k, look, got, want)
+			}
+			if end != lastHop {
+				t.Errorf("%d shards, lookahead %v: Run returned %v, want the last hop %v", k, look, end, lastHop)
+			}
+			for i, c := range clocks {
+				if c != lastHop {
+					t.Errorf("%d shards, lookahead %v: clocks %v, want all at the last hop %v (entry %d)", k, look, clocks, lastHop, i)
+					break
+				}
+			}
 		}
 	}
 }
 
 // TestShardGroupDeadlock checks that a blocked process with drained
-// queues surfaces ErrDeadlock, like the single-engine Run.
+// queues surfaces ErrDeadlock once every shard, not just its own, has
+// run dry.
 func TestShardGroupDeadlock(t *testing.T) {
 	g := NewGroup(2, Microsecond)
 	defer g.Close()

@@ -10,6 +10,15 @@ import (
 	"testing/quick"
 )
 
+// oneShard returns a one-shard group and its engine, closed when the
+// test ends. With one shard the lookahead only paces the windows; a
+// long one keeps the per-window coordinator work out of the benches.
+func oneShard(tb testing.TB) (*Group, *Engine) {
+	g := NewGroup(1, Second)
+	tb.Cleanup(g.Close)
+	return g, g.Engine(0)
+}
+
 func TestTimeArithmetic(t *testing.T) {
 	var epoch Time
 	later := epoch.Add(3 * Second)
@@ -61,14 +70,14 @@ func TestDurationOfRoundTrip(t *testing.T) {
 }
 
 func TestScheduleOrdering(t *testing.T) {
-	e := NewEngine()
+	g, e := oneShard(t)
 	var got []int
 	e.Schedule(Time(30), func() { got = append(got, 3) })
 	e.Schedule(Time(10), func() { got = append(got, 1) })
 	e.Schedule(Time(20), func() { got = append(got, 2) })
 	// Same-time events fire in scheduling order.
 	e.Schedule(Time(20), func() { got = append(got, 20) })
-	end, err := e.Run(0)
+	end, err := g.Run(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +91,7 @@ func TestScheduleOrdering(t *testing.T) {
 }
 
 func TestSchedulePastPanics(t *testing.T) {
-	e := NewEngine()
+	g, e := oneShard(t)
 	e.Schedule(Time(100), func() {
 		defer func() {
 			if recover() == nil {
@@ -91,17 +100,17 @@ func TestSchedulePastPanics(t *testing.T) {
 		}()
 		e.Schedule(Time(50), func() {})
 	})
-	if _, err := e.Run(0); err != nil {
+	if _, err := g.Run(0); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunLimit(t *testing.T) {
-	e := NewEngine()
+	g, e := oneShard(t)
 	fired := 0
 	e.Schedule(Time(10), func() { fired++ })
 	e.Schedule(Time(100), func() { fired++ })
-	end, err := e.Run(Time(50))
+	end, err := g.Run(Time(50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +118,7 @@ func TestRunLimit(t *testing.T) {
 		t.Fatalf("fired=%d end=%v", fired, end)
 	}
 	// Resume to exhaustion.
-	end, err = e.Run(0)
+	end, err = g.Run(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +128,7 @@ func TestRunLimit(t *testing.T) {
 }
 
 func TestProcSleep(t *testing.T) {
-	e := NewEngine()
+	g, e := oneShard(t)
 	var wakes []Time
 	e.Spawn("sleeper", func(p *Proc) {
 		p.Sleep(10 * Microsecond)
@@ -131,7 +140,7 @@ func TestProcSleep(t *testing.T) {
 		p.SleepUntil(Time(1)) // in the past: no-op
 		wakes = append(wakes, p.Now())
 	})
-	if _, err := e.Run(0); err != nil {
+	if _, err := g.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	want := []Time{Time(10 * Microsecond), Time(15 * Microsecond), Time(100 * Microsecond), Time(100 * Microsecond)}
@@ -144,10 +153,10 @@ func TestProcSleep(t *testing.T) {
 }
 
 func TestSpawnAt(t *testing.T) {
-	e := NewEngine()
+	g, e := oneShard(t)
 	var started Time
 	e.SpawnAt(Time(42), "late", func(p *Proc) { started = p.Now() })
-	if _, err := e.Run(0); err != nil {
+	if _, err := g.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if started != Time(42) {
@@ -157,7 +166,7 @@ func TestSpawnAt(t *testing.T) {
 
 func TestManyProcsDeterministic(t *testing.T) {
 	runOnce := func(seed int64) string {
-		e := NewEngine()
+		g, e := oneShard(t)
 		rng := rand.New(rand.NewSource(seed))
 		var log []string
 		for i := 0; i < 20; i++ {
@@ -173,7 +182,7 @@ func TestManyProcsDeterministic(t *testing.T) {
 				}
 			})
 		}
-		if _, err := e.Run(0); err != nil {
+		if _, err := g.Run(0); err != nil {
 			t.Fatal(err)
 		}
 		return strings.Join(log, ",")
@@ -185,7 +194,7 @@ func TestManyProcsDeterministic(t *testing.T) {
 }
 
 func TestCondSignalFIFO(t *testing.T) {
-	e := NewEngine()
+	g, e := oneShard(t)
 	c := NewCond(e)
 	var got []string
 	for _, name := range []string{"a", "b", "c"} {
@@ -203,7 +212,7 @@ func TestCondSignalFIFO(t *testing.T) {
 			t.Error("Signal with no waiters reported true")
 		}
 	})
-	if _, err := e.Run(0); err != nil {
+	if _, err := g.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	want := "a=1,b=2,c=3"
@@ -213,7 +222,7 @@ func TestCondSignalFIFO(t *testing.T) {
 }
 
 func TestCondBroadcastAndRemove(t *testing.T) {
-	e := NewEngine()
+	g, e := oneShard(t)
 	c := NewCond(e)
 	woken := 0
 	var procs []*Proc
@@ -238,7 +247,7 @@ func TestCondBroadcastAndRemove(t *testing.T) {
 			t.Errorf("Broadcast woke %d", n)
 		}
 	})
-	_, err := e.Run(0)
+	_, err := g.Run(0)
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("expected deadlock (removed waiter never wakes), got %v", err)
 	}
@@ -259,7 +268,7 @@ func TestCondBroadcastAndRemove(t *testing.T) {
 // behind already-queued events exactly like a process wake, and count
 // as blocked until woken — so one never signalled is a deadlock.
 func TestCondCallbackWaiters(t *testing.T) {
-	e := NewEngine()
+	g, e := oneShard(t)
 	c := NewCond(e)
 	var log []string
 	var w, never Wakeup
@@ -282,7 +291,7 @@ func TestCondCallbackWaiters(t *testing.T) {
 		NewCond(e).WaitFunc(&never)
 	})
 	e.Schedule(5, func() { log = append(log, "queued@5") })
-	_, err := e.Run(0)
+	_, err := g.Run(0)
 	if !errors.Is(err, ErrDeadlock) || e.Blocked() != 1 {
 		t.Fatalf("err = %v, Blocked = %d; want ErrDeadlock with 1 blocked", err, e.Blocked())
 	}
@@ -294,7 +303,7 @@ func TestCondCallbackWaiters(t *testing.T) {
 }
 
 func TestMailboxFIFO(t *testing.T) {
-	e := NewEngine()
+	g, e := oneShard(t)
 	m := NewMailbox(e)
 	var got []int
 	e.Spawn("recv", func(p *Proc) {
@@ -304,7 +313,7 @@ func TestMailboxFIFO(t *testing.T) {
 	})
 	e.Schedule(Time(1), func() { m.Put(1); m.Put(2) })
 	e.Schedule(Time(2), func() { m.Put(3); m.Put(4) })
-	if _, err := e.Run(0); err != nil {
+	if _, err := g.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(got) != "[1 2 3 4]" {
@@ -313,7 +322,7 @@ func TestMailboxFIFO(t *testing.T) {
 }
 
 func TestMailboxTryRecvAndLen(t *testing.T) {
-	e := NewEngine()
+	_, e := oneShard(t)
 	m := NewMailbox(e)
 	if _, ok := m.TryRecv(); ok {
 		t.Fatal("TryRecv on empty mailbox succeeded")
@@ -334,7 +343,7 @@ func TestMailboxTryRecvAndLen(t *testing.T) {
 func TestMailboxHandoffBeforeQueue(t *testing.T) {
 	// A waiting receiver gets the message directly; it never appears in
 	// the queue.
-	e := NewEngine()
+	g, e := oneShard(t)
 	m := NewMailbox(e)
 	var got any
 	e.Spawn("recv", func(p *Proc) { got = m.Recv(p) })
@@ -344,7 +353,7 @@ func TestMailboxHandoffBeforeQueue(t *testing.T) {
 			t.Errorf("message queued despite waiting receiver (len=%d)", m.Len())
 		}
 	})
-	if _, err := e.Run(0); err != nil {
+	if _, err := g.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if got != 99 {
@@ -352,121 +361,28 @@ func TestMailboxHandoffBeforeQueue(t *testing.T) {
 	}
 }
 
-func TestResourceContention(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, 1)
-	var order []string
-	worker := func(name string, start Time, hold Duration) {
-		e.SpawnAt(start, name, func(p *Proc) {
-			r.Acquire(p, 1)
-			order = append(order, name+":in@"+p.Now().String())
-			p.Sleep(hold)
-			r.Release(1)
-		})
-	}
-	worker("a", Time(0), 10*Microsecond)
-	worker("b", Time(1), 10*Microsecond)
-	worker("c", Time(2), 10*Microsecond)
-	if _, err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"a:in@0.000000s", "b:in@0.000010s", "c:in@0.000020s"}
-	if fmt.Sprint(order) != fmt.Sprint(want) {
-		t.Fatalf("order: got %v want %v", order, want)
-	}
-	if r.InUse() != 0 || r.Queued() != 0 {
-		t.Fatalf("resource not drained: inUse=%d queued=%d", r.InUse(), r.Queued())
-	}
-}
-
-func TestResourceFIFOBlocksSmallBehindLarge(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, 4)
-	var order []string
-	e.Spawn("hog", func(p *Proc) {
-		r.Acquire(p, 3)
-		p.Sleep(100 * Microsecond)
-		r.Release(3)
-	})
-	e.SpawnAt(Time(1), "big", func(p *Proc) {
-		r.Acquire(p, 4)
-		order = append(order, "big@"+p.Now().String())
-		r.Release(4)
-	})
-	e.SpawnAt(Time(2), "small", func(p *Proc) {
-		// Only 1 unit free, but FIFO means small must wait behind big.
-		r.Acquire(p, 1)
-		order = append(order, "small@"+p.Now().String())
-		r.Release(1)
-	})
-	if _, err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 2 || !strings.HasPrefix(order[0], "big@") {
-		t.Fatalf("FIFO violated: %v", order)
-	}
-}
-
-func TestResourceUse(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, 2)
-	var done Time
-	e.Spawn("u", func(p *Proc) {
-		r.Use(p, 2, 7*Microsecond)
-		done = p.Now()
-	})
-	if _, err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if done != Time(7*Microsecond) {
-		t.Fatalf("done at %v", done)
-	}
-}
-
-func TestResourceMisuse(t *testing.T) {
-	e := NewEngine()
-	mustPanic := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("zero capacity", func() { NewResource(e, 0) })
-	r := NewResource(e, 2)
-	mustPanic("over-release", func() { r.Release(1) })
-	e.Spawn("p", func(p *Proc) {
-		mustPanic("acquire too much", func() { r.Acquire(p, 3) })
-		mustPanic("acquire zero", func() { r.Acquire(p, 0) })
-	})
-	if _, err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestProcPanicReportedByRun(t *testing.T) {
-	e := NewEngine()
+	g, e := oneShard(t)
 	e.Spawn("bad", func(p *Proc) {
 		p.Sleep(Microsecond)
 		panic("boom")
 	})
-	_, err := e.Run(0)
+	_, err := g.Run(0)
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestCloseReapsCreatedAndParked(t *testing.T) {
-	e := NewEngine()
+	g, e := oneShard(t)
 	c := NewCond(e)
 	e.Spawn("parked", func(p *Proc) { c.Wait(p) })
-	_, err := e.Run(0)
+	_, err := g.Run(0)
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v", err)
 	}
 	// A process spawned but never started (engine not re-run).
-	e2 := NewEngine()
+	_, e2 := oneShard(t)
 	e2.Spawn("never-started", func(p *Proc) {})
 	e.Close()
 	e.Close() // idempotent
@@ -482,14 +398,14 @@ func TestCloseReapsCreatedAndParked(t *testing.T) {
 }
 
 func TestDeferredCleanupRunsOnKill(t *testing.T) {
-	e := NewEngine()
+	g, e := oneShard(t)
 	cleaned := false
 	c := NewCond(e)
 	e.Spawn("p", func(p *Proc) {
 		defer func() { cleaned = true }()
 		c.Wait(p)
 	})
-	if _, err := e.Run(0); !errors.Is(err, ErrDeadlock) {
+	if _, err := g.Run(0); !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v", err)
 	}
 	e.Close()
@@ -499,7 +415,7 @@ func TestDeferredCleanupRunsOnKill(t *testing.T) {
 }
 
 func TestBlockedCounter(t *testing.T) {
-	e := NewEngine()
+	g, e := oneShard(t)
 	c := NewCond(e)
 	for i := 0; i < 3; i++ {
 		e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) { c.Wait(p) })
@@ -510,7 +426,7 @@ func TestBlockedCounter(t *testing.T) {
 		}
 		c.Signal(nil)
 	})
-	_, err := e.Run(0)
+	_, err := g.Run(0)
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v", err)
 	}
@@ -530,7 +446,7 @@ func TestSleepWakeOrderProperty(t *testing.T) {
 		if len(raw) > 50 {
 			raw = raw[:50]
 		}
-		e := NewEngine()
+		g, e := oneShard(t)
 		var wakes []Time
 		for i, r := range raw {
 			d := Duration(r) * Microsecond
@@ -539,7 +455,7 @@ func TestSleepWakeOrderProperty(t *testing.T) {
 				wakes = append(wakes, p.Now())
 			})
 		}
-		if _, err := e.Run(0); err != nil {
+		if _, err := g.Run(0); err != nil {
 			return false
 		}
 		if len(wakes) != len(raw) {
@@ -553,40 +469,10 @@ func TestSleepWakeOrderProperty(t *testing.T) {
 }
 
 // Property: resource accounting never exceeds capacity and always drains.
-func TestResourceInvariantProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		e := NewEngine()
-		cap := 1 + rng.Intn(4)
-		r := NewResource(e, cap)
-		ok := true
-		for i := 0; i < 20; i++ {
-			n := 1 + rng.Intn(cap)
-			start := Time(rng.Intn(100)) * Time(Microsecond)
-			hold := Duration(1+rng.Intn(100)) * Microsecond
-			e.SpawnAt(start, fmt.Sprintf("p%d", i), func(p *Proc) {
-				r.Acquire(p, n)
-				if r.InUse() > r.Capacity() {
-					ok = false
-				}
-				p.Sleep(hold)
-				r.Release(n)
-			})
-		}
-		if _, err := e.Run(0); err != nil {
-			return false
-		}
-		return ok && r.InUse() == 0 && r.Queued() == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // BenchmarkEngineThroughput measures raw event throughput of the DES
 // kernel — the budget every cluster simulation spends from.
 func BenchmarkEngineThroughput(b *testing.B) {
-	e := NewEngine()
+	g, e := oneShard(b)
 	n := 0
 	var tick func()
 	tick = func() {
@@ -597,7 +483,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	}
 	b.ResetTimer()
 	e.After(Microsecond, tick)
-	if _, err := e.Run(0); err != nil {
+	if _, err := g.Run(0); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -606,26 +492,26 @@ func BenchmarkEngineThroughput(b *testing.B) {
 // resume through channels), the per-blocking-call overhead of every
 // simulated process.
 func BenchmarkProcessSwitch(b *testing.B) {
-	e := NewEngine()
+	g, e := oneShard(b)
 	e.Spawn("p", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			p.Sleep(Microsecond)
 		}
 	})
 	b.ResetTimer()
-	if _, err := e.Run(0); err != nil {
+	if _, err := g.Run(0); err != nil {
 		b.Fatal(err)
 	}
 }
 
 func TestEnginePending(t *testing.T) {
-	e := NewEngine()
+	g, e := oneShard(t)
 	e.Schedule(Time(10), func() {})
 	e.Schedule(Time(20), func() {})
 	if e.Pending() != 2 {
 		t.Fatalf("Pending = %d", e.Pending())
 	}
-	if _, err := e.Run(0); err != nil {
+	if _, err := g.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if e.Pending() != 0 {

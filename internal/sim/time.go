@@ -2,7 +2,9 @@
 // simulation kernel. It provides a virtual clock, an event queue, and
 // lightweight simulated processes (implemented as goroutines that run one
 // at a time under the engine's control), plus the usual coordination
-// primitives: sleeping, conditions, mailboxes, and counted resources.
+// primitives: sleeping, conditions, and mailboxes. A Group owns the
+// engines and is the only event loop: a sequential simulation is a
+// one-shard group.
 //
 // The kernel is the substrate for the cluster, network, MPI, and power
 // models in this repository. All of those express behaviour as processes

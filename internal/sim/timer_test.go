@@ -17,7 +17,9 @@ import (
 // number of plain events still pending.
 func timerScript(seed int64, useTimer, monotone bool, check func(e *Engine, plain int)) []string {
 	const slots = 3
-	e := NewEngine()
+	g := NewGroup(1, Second)
+	defer g.Close()
+	e := g.Engine(0)
 	rng := rand.New(rand.NewSource(seed))
 	var log []string
 	last := make([]Time, slots)
@@ -79,7 +81,7 @@ func timerScript(seed int64, useTimer, monotone bool, check func(e *Engine, plai
 		}
 	}
 	e.Schedule(0, step)
-	if _, err := e.Run(0); err != nil {
+	if _, err := g.Run(0); err != nil {
 		panic(err)
 	}
 	return log
@@ -117,7 +119,7 @@ func TestTimerPendingBound(t *testing.T) {
 // Resetting into the past panics with the same message as scheduling
 // there.
 func TestTimerResetPastPanics(t *testing.T) {
-	e := NewEngine()
+	g, e := oneShard(t)
 	tm := e.NewTimer(func() {})
 	catch := func(f func()) (v any) {
 		defer func() { v = recover() }()
@@ -129,7 +131,7 @@ func TestTimerResetPastPanics(t *testing.T) {
 		viaSchedule = catch(func() { e.Schedule(50, func() {}) })
 		viaReset = catch(func() { tm.Reset(50) })
 	})
-	if _, err := e.Run(0); err != nil {
+	if _, err := g.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if viaReset == nil || viaReset != viaSchedule {
@@ -141,8 +143,7 @@ func TestTimerResetPastPanics(t *testing.T) {
 // going until it fires, and a deadlock report counts only the parked
 // process.
 func TestTimerNotBlocked(t *testing.T) {
-	e := NewEngine()
-	defer e.Close()
+	g, e := oneShard(t)
 	var firedAt Time = -1
 	tm := e.NewTimer(func() { firedAt = e.Now() })
 	tm.Reset(50)
@@ -151,7 +152,7 @@ func TestTimerNotBlocked(t *testing.T) {
 	}
 	c := NewCond(e)
 	e.Spawn("waiter", func(p *Proc) { c.Wait(p) })
-	end, err := e.Run(0)
+	end, err := g.Run(0)
 	if err == nil || e.Blocked() != 1 {
 		t.Fatalf("err = %v, Blocked = %d; want a deadlock with 1 blocked", err, e.Blocked())
 	}
@@ -163,7 +164,7 @@ func TestTimerNotBlocked(t *testing.T) {
 // Counters count every dispatched entry, timer re-queues included, and
 // the queue's high-water mark.
 func TestEngineCounters(t *testing.T) {
-	e := NewEngine()
+	g, e := oneShard(t)
 	tm := e.NewTimer(func() {})
 	tm.Reset(10)
 	tm.Reset(20) // the entry at 10 re-queues at 20
@@ -172,7 +173,7 @@ func TestEngineCounters(t *testing.T) {
 	if got, want := e.Counters(), (Counters{Events: 0, HeapPeak: 3}); got != want {
 		t.Fatalf("before Run: %+v, want %+v", got, want)
 	}
-	if _, err := e.Run(0); err != nil {
+	if _, err := g.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := e.Counters(), (Counters{Events: 4, HeapPeak: 3}); got != want {

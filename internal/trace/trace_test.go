@@ -67,25 +67,33 @@ func legacyCSV(t *testing.T, samples []Sample) string {
 	return sb.String()
 }
 
+// oneShard returns a fresh one-shard group and its engine, closed when
+// the test ends.
+func oneShard(t *testing.T) (*sim.Group, *sim.Engine) {
+	g := sim.NewGroup(1, sim.Second)
+	t.Cleanup(g.Close)
+	return g, g.Engine(0)
+}
+
 // fixture runs a one-node workload with the given sinks attached and
 // returns the recorder after Close.
 func fixture(t *testing.T, sinks ...Sink) *Recorder {
 	t.Helper()
-	e := sim.NewEngine()
+	g, e := oneShard(t)
 	n := machine.NewNode(e, 0, machine.DefaultParams())
 	done := false
 	r, err := New(Config{Interval: 100 * sim.Millisecond, Nodes: []*machine.Node{n}, Sinks: sinks})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Spawn(e, func() bool { return done })
+	r.SpawnGroup(g, func() bool { return done })
 	e.Spawn("app", func(p *sim.Proc) {
 		n.Compute(p, 1.4e9)          // 1s busy
 		n.IdleFor(p, sim.Second)     // 1s idle
 		n.MemoryRounds(p, 4_000_000) // ~0.46s memory
 		done = true
 	})
-	if _, err := e.Run(0); err != nil {
+	if _, err := g.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Close(); err != nil {
@@ -340,7 +348,7 @@ func TestDownsampler(t *testing.T) {
 		}
 	}
 	// A downsampler for an unknown node fails at Begin (surfaced by New).
-	e := sim.NewEngine()
+	_, e := oneShard(t)
 	node := machine.NewNode(e, 0, machine.DefaultParams())
 	if _, err := New(Config{Interval: sim.Second, Nodes: []*machine.Node{node},
 		Sinks: []Sink{NewDownsampler(7, 8)}}); err == nil {
@@ -353,7 +361,7 @@ func TestDownsampler(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	e := sim.NewEngine()
+	_, e := oneShard(t)
 	n := machine.NewNode(e, 0, machine.DefaultParams())
 	cases := []Config{
 		{Interval: sim.Second},                                                // no nodes
@@ -389,7 +397,7 @@ func (f *failSink) Tick(sim.Time, []Sample) error { return f.tickErr }
 func (f *failSink) End() error                    { return f.endErr }
 
 func TestRecorderErrorLatching(t *testing.T) {
-	e := sim.NewEngine()
+	g, e := oneShard(t)
 	n := machine.NewNode(e, 0, machine.DefaultParams())
 	tickFail := errors.New("tick boom")
 	mem := &memSink{}
@@ -399,12 +407,12 @@ func TestRecorderErrorLatching(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := false
-	r.Spawn(e, func() bool { return done })
+	r.SpawnGroup(g, func() bool { return done })
 	e.Spawn("app", func(p *sim.Proc) {
 		n.IdleFor(p, sim.Second)
 		done = true
 	})
-	if _, err := e.Run(0); err != nil {
+	if _, err := g.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if !errors.Is(r.Err(), tickFail) {

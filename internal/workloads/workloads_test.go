@@ -18,36 +18,40 @@ func harness(t *testing.T, w Workload) ([]*powerpack.NodeCtx, []*machine.Node, s
 	return ctxs, nodes, end
 }
 
+// newWorld builds an n-rank MPI world on fresh nodes of a one-shard
+// group, closed when the test ends.
+func newWorld(t *testing.T, n int) (*sim.Group, []*machine.Node, *mpi.World) {
+	t.Helper()
+	g := sim.NewGroup(1, netsim.Default100Mb().Latency)
+	t.Cleanup(g.Close)
+	nodes := make([]*machine.Node, n)
+	for i := range nodes {
+		nodes[i] = machine.NewNode(g.Engine(0), i, machine.DefaultParams())
+	}
+	sw := netsim.New(g.Engine(0), n, netsim.Default100Mb())
+	return g, nodes, mpi.NewWorldOn(g, nodes, sw, mpi.DefaultConfig())
+}
+
 // harnessWorld is harness exposing the MPI world for traffic checks.
 func harnessWorld(t *testing.T, w Workload) ([]*powerpack.NodeCtx, []*machine.Node, *mpi.World, sim.Time) {
 	t.Helper()
-	e := sim.NewEngine()
-	n := w.Ranks()
-	nodes := make([]*machine.Node, n)
-	for i := range nodes {
-		nodes[i] = machine.NewNode(e, i, machine.DefaultParams())
-	}
-	sw := netsim.New(e, n, netsim.Default100Mb())
-	world := mpi.NewWorld(e, nodes, sw, mpi.DefaultConfig())
+	g, nodes, world := newWorld(t, w.Ranks())
 	prof := powerpack.NewProfiler()
-	ctxs := make([]*powerpack.NodeCtx, n)
+	ctxs := make([]*powerpack.NodeCtx, len(nodes))
 	for i := range ctxs {
 		ctxs[i] = powerpack.NewNodeCtx(nodes[i], prof, nil)
 	}
 	var end sim.Time
-	for i := 0; i < n; i++ {
-		i := i
-		e.Spawn("rank", func(p *sim.Proc) {
-			w.Run(Ctx{P: p, Rank: world.Rank(i), Node: nodes[i], PP: ctxs[i]})
-			if p.Now() > end {
-				end = p.Now()
-			}
-		})
-	}
+	world.SpawnRanks(func(p *sim.Proc, r *mpi.Rank) {
+		w.Run(Ctx{P: p, Rank: r, Node: nodes[r.ID()], PP: ctxs[r.ID()]})
+		if p.Now() > end {
+			end = p.Now()
+		}
+	})
 	// Run to exhaustion: the queue includes stale spin-downgrade timers
 	// that fire after completion, so "end" is the last rank's finish,
-	// not the engine's final event.
-	if _, err := e.Run(0); err != nil {
+	// not the group's final event.
+	if _, err := g.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	return ctxs, nodes, world, end
@@ -155,22 +159,13 @@ func TestFTCommVolumeMatchesClass(t *testing.T) {
 	// Per rank per iteration the transpose sends points*16*(P-1)/P²
 	// bytes. Verified through the workload's own accounting in the MPI
 	// stats — rerun with direct access to the world.
-	e := sim.NewEngine()
 	n := ft.Ranks()
-	ns := make([]*machine.Node, n)
-	for i := range ns {
-		ns[i] = machine.NewNode(e, i, machine.DefaultParams())
-	}
-	sw := netsim.New(e, n, netsim.Default100Mb())
-	world := mpi.NewWorld(e, ns, sw, mpi.DefaultConfig())
+	g, ns, world := newWorld(t, n)
 	prof := powerpack.NewProfiler()
-	for i := 0; i < n; i++ {
-		i := i
-		e.Spawn("rank", func(p *sim.Proc) {
-			ft.Run(Ctx{P: p, Rank: world.Rank(i), Node: ns[i], PP: powerpack.NewNodeCtx(ns[i], prof, nil)})
-		})
-	}
-	if _, err := e.Run(0); err != nil {
+	world.SpawnRanks(func(p *sim.Proc, r *mpi.Rank) {
+		ft.Run(Ctx{P: p, Rank: r, Node: ns[r.ID()], PP: powerpack.NewNodeCtx(ns[r.ID()], prof, nil)})
+	})
+	if _, err := g.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	points := int64(256 * 256 * 128)
@@ -231,11 +226,9 @@ func TestTransposeRedistConsistency(t *testing.T) {
 
 func TestTransposeRanksGuard(t *testing.T) {
 	tr := NewTranspose(1)
-	e := sim.NewEngine()
-	node := machine.NewNode(e, 0, machine.DefaultParams())
-	sw := netsim.New(e, 1, netsim.Default100Mb())
-	world := mpi.NewWorld(e, []*machine.Node{node}, sw, mpi.DefaultConfig())
-	e.Spawn("rank", func(p *sim.Proc) {
+	g, nodes, world := newWorld(t, 1)
+	node := nodes[0]
+	nodes[0].Engine().Spawn("rank", func(p *sim.Proc) {
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic with wrong world size")
@@ -243,29 +236,19 @@ func TestTransposeRanksGuard(t *testing.T) {
 		}()
 		tr.Run(Ctx{P: p, Rank: world.Rank(0), Node: node, PP: powerpack.NewNodeCtx(node, powerpack.NewProfiler(), nil)})
 	})
-	if _, err := e.Run(0); err != nil {
+	if _, err := g.Run(0); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestTransposeRootReceivesGather(t *testing.T) {
 	tr := &Transpose{N: 600, PRows: 5, PCols: 3, Iterations: 1}
-	e := sim.NewEngine()
-	n := tr.Ranks()
-	ns := make([]*machine.Node, n)
-	for i := range ns {
-		ns[i] = machine.NewNode(e, i, machine.DefaultParams())
-	}
-	sw := netsim.New(e, n, netsim.Default100Mb())
-	world := mpi.NewWorld(e, ns, sw, mpi.DefaultConfig())
+	g, ns, world := newWorld(t, tr.Ranks())
 	prof := powerpack.NewProfiler()
-	for i := 0; i < n; i++ {
-		i := i
-		e.Spawn("rank", func(p *sim.Proc) {
-			tr.Run(Ctx{P: p, Rank: world.Rank(i), Node: ns[i], PP: powerpack.NewNodeCtx(ns[i], prof, nil)})
-		})
-	}
-	if _, err := e.Run(0); err != nil {
+	world.SpawnRanks(func(p *sim.Proc, r *mpi.Rank) {
+		tr.Run(Ctx{P: p, Rank: r, Node: ns[r.ID()], PP: powerpack.NewNodeCtx(ns[r.ID()], prof, nil)})
+	})
+	if _, err := g.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	// Root received one block from each of the other 14 ranks in the
