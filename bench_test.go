@@ -664,8 +664,9 @@ func BenchmarkAblationFinePStates(b *testing.B) {
 // runner the ratio records the windowing overhead instead (slightly
 // below 1); the >= 2x target applies to machines with >= 4 cores.
 // The 1-shard run also reports the engine's deterministic work counts,
-// events/op and heap_peak/op (the event queue's high-water), read from
-// the engine its default switch is built on.
+// events/op, heap_peak/op (the event queue's high-water) and
+// switches/op (process handoffs; Sleeps whose wake is the next event
+// skip theirs), read from the engine its default switch is built on.
 func BenchmarkShardedFT(b *testing.B) {
 	ft := repro.NewFT('A', 256)
 	ft.IterOverride = 1
@@ -703,6 +704,7 @@ func BenchmarkShardedFT(b *testing.B) {
 	b.ReportMetric(float64(shards), "shards")
 	b.ReportMetric(float64(work.Events), "events/op")
 	b.ReportMetric(float64(work.HeapPeak), "heap_peak/op")
+	b.ReportMetric(float64(work.Switches), "switches/op")
 }
 
 // ExtendedSlackGovernor: the MPI-aware governor against the paper's

@@ -4,8 +4,8 @@ package sim
 // callback state machines register with WaitFunc, all in one FIFO; any
 // code running under the engine (another process or an event callback)
 // releases them with Signal or Broadcast. A value can be handed to the
-// woken waiter, which is how mailboxes and the MPI matching layer
-// transfer messages without an extra queue hop.
+// woken waiter, which is how the MPI matching layer transfers messages
+// without an extra queue hop.
 type Cond struct {
 	eng     *Engine
 	waiters []waiter

@@ -7,7 +7,7 @@ import (
 
 // ErrDeadlock is returned by Group.Run when every queue drains while
 // simulated processes (or callback waiters) are still blocked on
-// conditions or mailboxes that nothing will ever signal.
+// conditions that nothing will ever signal.
 var ErrDeadlock = errors.New("sim: deadlock: no pending events but processes remain blocked")
 
 // Engine owns one shard's virtual clock and event queue, and schedules
@@ -25,13 +25,17 @@ type Engine struct {
 	running bool
 	closed  bool
 	shard   int32 // index in the owning Group
-	failure error // first process panic, reported by RunUntil
+	failure error // first process panic, reported by runUntil
+	horizon Time  // bound of the runUntil in progress; 0 outside one
 
 	// expiring is the sequence number of the timer entry being
 	// dispatched; see Timer.
 	expiring uint64
-	// events counts queue entries dispatched, for Counters.
-	events int
+	// events counts queue entries dispatched, and switches the
+	// dispatches that handed control to a process goroutine, for
+	// Counters.
+	events   int
+	switches int
 
 	// park is signalled by a process goroutine whenever it hands control
 	// back to the engine (by blocking, terminating, or dying).
@@ -110,7 +114,7 @@ func (e *Engine) After(d Duration, fn func()) {
 	e.Schedule(e.now.Add(d), fn)
 }
 
-// RunUntil executes every event strictly before horizon h and returns.
+// runUntil executes every event strictly before horizon h and returns.
 // It is the shard-side half of a Group window: the coordinator picks h
 // so that no other shard can inject an arrival earlier than h, and each
 // shard drains its queue up to (not including) h with exclusive access
@@ -121,15 +125,15 @@ func (e *Engine) After(d Duration, fn func()) {
 // globals, when parking at a limit, and when the run ends.
 //
 //lint:hotpath the sharded dispatch loop runs once per event
-func (e *Engine) RunUntil(h Time) error {
+func (e *Engine) runUntil(h Time) error {
 	if e.closed {
 		return errors.New("sim: engine is closed")
 	}
 	if e.running {
-		return errors.New("sim: RunUntil called reentrantly")
+		return errors.New("sim: runUntil called reentrantly")
 	}
-	e.running = true
-	defer func() { e.running = false }() //lint:allow hotalloc (one closure per window, not per event)
+	e.running, e.horizon = true, h
+	defer func() { e.running, e.horizon = false, 0 }() //lint:allow hotalloc (one closure per window, not per event)
 
 	for e.queue.Len() > 0 && e.queue.peek().t < h {
 		ev := e.queue.pop()
@@ -149,21 +153,43 @@ func (e *Engine) RunUntil(h Time) error {
 	return nil
 }
 
-// NextEventTime reports the timestamp of the earliest pending event, or
+// selfWake is Sleep's fast path. It reports whether a wake keyed
+// (t, 0, seq+1) is the next event runUntil would pop — inside the
+// window, with the queue's top later or a same-time arrival — and if so
+// does the push-and-pop bookkeeping in its place. A Timer's queued
+// entry is never later than its live deadline, so a reserved timer key
+// that is not queued cannot sort before the wake either.
+func (e *Engine) selfWake(t Time) bool {
+	if t >= e.horizon {
+		return false
+	}
+	if e.queue.Len() > 0 {
+		if top := e.queue.peek(); top.t < t || top.t == t && top.pri == 0 {
+			return false
+		}
+	}
+	e.seq++
+	e.queue.bypass()
+	e.now = t
+	e.events++
+	return true
+}
+
+// nextEventTime reports the timestamp of the earliest pending event, or
 // false when the queue is empty.
-func (e *Engine) NextEventTime() (Time, bool) {
+func (e *Engine) nextEventTime() (Time, bool) {
 	if e.queue.Len() == 0 {
 		return 0, false
 	}
 	return e.queue.peek().t, true
 }
 
-// AdvanceTo moves the clock forward to t without executing anything.
+// advanceTo moves the clock forward to t without executing anything.
 // The Group uses it before coordinator globals, when it parks at a run
 // limit, and when a run ends, so that reads outside shard events
 // (utilization extrapolation, energy integration) see a consistent
 // "now" on every shard. Moving backwards is a no-op.
-func (e *Engine) AdvanceTo(t Time) {
+func (e *Engine) advanceTo(t Time) {
 	if t > e.now {
 		e.now = t
 	}
@@ -200,6 +226,7 @@ func (e *Engine) resumeProc(kind eventKind, p *Proc) {
 		return
 	}
 	p.state = procRunning
+	e.switches++
 	p.resume <- resumeGo
 	<-e.park
 }
@@ -208,15 +235,19 @@ func (e *Engine) resumeProc(kind eventKind, p *Proc) {
 func (e *Engine) Pending() int { return e.queue.Len() }
 
 // Counters are an engine's deterministic work counts: the same
-// simulation yields the same counts on any machine.
+// simulation yields the same counts on any machine. Events and HeapPeak
+// are also the same at any shard count and lookahead; Switches is not,
+// because a Sleep whose wake lies at or past the window horizon must
+// switch.
 type Counters struct {
-	Events   int // queue entries dispatched, including timer entries that re-queued or were discarded
+	Events   int // queue entries dispatched, including Sleep wakes that skipped the queue and timer entries that re-queued or were discarded
 	HeapPeak int // most entries ever pending in the queue at once
+	Switches int // dispatches that handed control to a process goroutine
 }
 
 // Counters reports the work the engine has done so far.
 func (e *Engine) Counters() Counters {
-	return Counters{Events: e.events, HeapPeak: e.queue.peak}
+	return Counters{Events: e.events, HeapPeak: e.queue.peak, Switches: e.switches}
 }
 
 // Blocked reports how many waiters — live processes parked on a

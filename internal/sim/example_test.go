@@ -6,22 +6,23 @@ import (
 	"repro/internal/sim"
 )
 
-// Two processes coordinate through a mailbox on the virtual clock.
+// Two processes coordinate through a condition on the virtual clock:
+// each Signal hands its value to the waiting consumer.
 func Example() {
 	g := sim.NewGroup(1, sim.Second)
 	defer g.Close()
 	e := g.Engine(0)
-	box := sim.NewMailbox(e)
+	ready := sim.NewCond(e)
 
 	e.Spawn("producer", func(p *sim.Proc) {
 		for i := 1; i <= 3; i++ {
 			p.Sleep(10 * sim.Millisecond)
-			box.Put(i)
+			ready.Signal(i)
 		}
 	})
 	e.Spawn("consumer", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
-			v := box.Recv(p)
+			v := ready.Wait(p)
 			fmt.Printf("got %v at %v\n", v, p.Now())
 		}
 	})

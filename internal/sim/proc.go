@@ -38,7 +38,7 @@ type Proc struct {
 	resume  chan resumeSignal
 	state   procState
 	counted bool // contributes to eng.blocked
-	wakeVal any  // value handed over by the waker (mailbox messages etc.)
+	wakeVal any  // value handed over by the waker (Cond.Signal)
 }
 
 // Spawn creates a process named name whose body fn starts executing at
@@ -97,7 +97,7 @@ func (p *Proc) finish() {
 // yield parks the calling process until a wake is delivered, then returns
 // the value the waker attached. counted reports whether the process
 // should be considered "blocked with no scheduled wake" for deadlock
-// accounting (true for conditions and mailboxes, false for Sleep,
+// accounting (true for conditions, false for Sleep,
 // whose wake event is already queued).
 func (p *Proc) yield(counted bool) any {
 	if p.state != procRunning {
@@ -149,19 +149,34 @@ func (p *Proc) Engine() *Engine { return p.eng }
 func (p *Proc) Now() Time { return p.eng.now }
 
 // Sleep suspends the process for d of virtual time. Zero or negative d
-// still yields, letting same-time events scheduled earlier run first.
+// still orders the process after same-time events scheduled earlier.
 //
-//lint:hotpath the Sleep/wake round trip is the PR 2 zero-alloc win
+// Sleep yields to the engine only when something else could run first:
+// when the wake lies at or past the horizon of the window in progress,
+// or an event already queued sorts before it (an earlier event, or a
+// local event at the same time — the wake would take a later sequence
+// number). Otherwise the wake is the very next event the engine would
+// pop, so Sleep does that event's bookkeeping itself and returns with
+// no queue entry and no process switch. The shortcut is exact: the
+// sequence counter, the clock, the queue's high-water mark and the
+// dispatch count move exactly as a queued wake would move them, so the
+// event order and Counters' Events and HeapPeak are unchanged.
+//
+//lint:hotpath every simulated compute burst ends in a Sleep; it must stay allocation-free
 func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
+	}
+	t := p.eng.now.Add(d)
+	if p.state == procRunning && p.eng.selfWake(t) {
+		return
 	}
 	// Queue the wake before parking. The engine cannot run events while
 	// this process holds control, so the wake cannot fire early; the
 	// evWake dispatch's procParked guard protects against firing after a
 	// Close reaped us. No closure and no boxed wake value: the entire
 	// Sleep/wake round trip is allocation-free.
-	p.eng.scheduleEvent(event{t: p.eng.now.Add(d), kind: evWake, p: p})
+	p.eng.scheduleEvent(event{t: t, kind: evWake, p: p})
 	p.yield(false)
 }
 

@@ -104,6 +104,11 @@ func (h *eventHeap) pop() event {
 
 func (h *eventHeap) peek() *event { return &h.items[0] }
 
+// bypass accounts for an entry that would be pushed and popped at once
+// (a Sleep wake taken on the fast path): only the high-water mark sees
+// it.
+func (h *eventHeap) bypass() { h.peak = max(h.peak, len(h.items)+1) }
+
 func (h *eventHeap) siftDown(i int) {
 	n := len(h.items)
 	for {

@@ -179,7 +179,7 @@ func (g *Group) lookaheadPanic(shard int, a arrival) {
 func (g *Group) minNextEvent() (Time, bool) {
 	m, any := maxTime, false
 	for _, e := range g.engines {
-		if t, ok := e.NextEventTime(); ok && t < m {
+		if t, ok := e.nextEventTime(); ok && t < m {
 			m, any = t, true
 		}
 	}
@@ -197,7 +197,7 @@ func (g *Group) blockedTotal() int {
 // advanceAll moves every shard clock and the horizon forward to t.
 func (g *Group) advanceAll(t Time) {
 	for _, e := range g.engines {
-		e.AdvanceTo(t)
+		e.advanceTo(t)
 	}
 	if t > g.horizon {
 		g.horizon = t
@@ -229,7 +229,7 @@ func (g *Group) settle() Time {
 func (g *Group) window(h Time) error {
 	g.active = g.active[:0]
 	for i, e := range g.engines {
-		if t, ok := e.NextEventTime(); ok && t < h {
+		if t, ok := e.nextEventTime(); ok && t < h {
 			g.active = append(g.active, i) //lint:allow hotalloc (amortized growth; the active buffer is reused across windows)
 		}
 	}
@@ -237,10 +237,10 @@ func (g *Group) window(h Time) error {
 	case 0:
 		return nil
 	case 1:
-		return g.engines[g.active[0]].RunUntil(h)
+		return g.engines[g.active[0]].runUntil(h)
 	}
 	_, err := exec.Map(len(g.active), len(g.active), func(i int) (struct{}, error) { //lint:allow hotalloc (one closure per window, not per event)
-		return struct{}{}, g.engines[g.active[i]].RunUntil(h)
+		return struct{}{}, g.engines[g.active[i]].runUntil(h)
 	})
 	return err
 }

@@ -302,65 +302,6 @@ func TestCondCallbackWaiters(t *testing.T) {
 	e.Close()
 }
 
-func TestMailboxFIFO(t *testing.T) {
-	g, e := oneShard(t)
-	m := NewMailbox(e)
-	var got []int
-	e.Spawn("recv", func(p *Proc) {
-		for i := 0; i < 4; i++ {
-			got = append(got, m.Recv(p).(int))
-		}
-	})
-	e.Schedule(Time(1), func() { m.Put(1); m.Put(2) })
-	e.Schedule(Time(2), func() { m.Put(3); m.Put(4) })
-	if _, err := g.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(got) != "[1 2 3 4]" {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestMailboxTryRecvAndLen(t *testing.T) {
-	_, e := oneShard(t)
-	m := NewMailbox(e)
-	if _, ok := m.TryRecv(); ok {
-		t.Fatal("TryRecv on empty mailbox succeeded")
-	}
-	m.Put("x")
-	m.Put("y")
-	if m.Len() != 2 {
-		t.Fatalf("Len = %d", m.Len())
-	}
-	if v, ok := m.TryRecv(); !ok || v != "x" {
-		t.Fatalf("TryRecv = %v, %v", v, ok)
-	}
-	if m.Len() != 1 {
-		t.Fatalf("Len after TryRecv = %d", m.Len())
-	}
-}
-
-func TestMailboxHandoffBeforeQueue(t *testing.T) {
-	// A waiting receiver gets the message directly; it never appears in
-	// the queue.
-	g, e := oneShard(t)
-	m := NewMailbox(e)
-	var got any
-	e.Spawn("recv", func(p *Proc) { got = m.Recv(p) })
-	e.Schedule(Time(10), func() {
-		m.Put(99)
-		if m.Len() != 0 {
-			t.Errorf("message queued despite waiting receiver (len=%d)", m.Len())
-		}
-	})
-	if _, err := g.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if got != 99 {
-		t.Fatalf("got %v", got)
-	}
-}
-
 func TestProcPanicReportedByRun(t *testing.T) {
 	g, e := oneShard(t)
 	e.Spawn("bad", func(p *Proc) {
@@ -490,17 +431,49 @@ func BenchmarkEngineThroughput(b *testing.B) {
 
 // BenchmarkProcessSwitch measures the coroutine handoff cost (park +
 // resume through channels), the per-blocking-call overhead of every
-// simulated process.
+// simulated process. Two sleepers interleave, so each wake sorts after
+// the other sleeper's pending one: no Sleep can skip the switch, and
+// switches/op stays at 1.
 func BenchmarkProcessSwitch(b *testing.B) {
+	b.ReportAllocs()
 	g, e := oneShard(b)
-	e.Spawn("p", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(Microsecond)
-		}
-	})
+	for _, n := range []int{(b.N + 1) / 2, b.N / 2} {
+		e.Spawn("p", func(p *Proc) {
+			for i := 0; i < n; i++ {
+				p.Sleep(Microsecond)
+			}
+		})
+	}
 	b.ResetTimer()
 	if _, err := g.Run(0); err != nil {
 		b.Fatal(err)
+	}
+	b.ReportMetric(float64(e.Counters().Switches)/float64(b.N), "switches/op")
+}
+
+// A lone sleeper takes Sleep's no-switch path for every wake inside
+// the window in progress: with a one-second window it switches once,
+// to start; with a 10 µs window each wake on a window horizon switches
+// again. Every wake counts as an event either way.
+func TestSelfWakeSwitches(t *testing.T) {
+	for _, tc := range []struct {
+		look     Duration
+		switches int
+	}{{Second, 1}, {10 * Microsecond, 11}} {
+		g := NewGroup(1, tc.look)
+		e := g.Engine(0)
+		e.Spawn("lone", func(p *Proc) {
+			for i := 0; i < 100; i++ {
+				p.Sleep(Microsecond)
+			}
+		})
+		if _, err := g.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		g.Close()
+		if got, want := e.Counters(), (Counters{Events: 101, HeapPeak: 1, Switches: tc.switches}); got != want {
+			t.Errorf("lookahead %v: %+v, want %+v", tc.look, got, want)
+		}
 	}
 }
 

@@ -2,9 +2,15 @@
 // simulation kernel. It provides a virtual clock, an event queue, and
 // lightweight simulated processes (implemented as goroutines that run one
 // at a time under the engine's control), plus the usual coordination
-// primitives: sleeping, conditions, and mailboxes. A Group owns the
+// primitives: sleeping, conditions, and timers. A Group owns the
 // engines and is the only event loop: a sequential simulation is a
 // one-shard group.
+//
+// Handing control between the engine and a process goroutine is the
+// kernel's largest per-event cost, so a Sleep whose wake would be the
+// very next event the engine runs skips it: the process does the wake's
+// bookkeeping itself and keeps running. Event order, sequence numbers
+// and work counts are exactly those of the queued wake.
 //
 // The kernel is the substrate for the cluster, network, MPI, and power
 // models in this repository. All of those express behaviour as processes
